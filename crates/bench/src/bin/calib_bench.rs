@@ -2,21 +2,23 @@
 //! `BENCH_calib.json`.
 //!
 //! ```text
-//! calib_bench                    # quick fit, budget 60 → BENCH_calib.json
-//! calib_bench --budget 40        # the CI smoke budget
+//! calib_bench                    # quick fit, x7's budget (150) → BENCH_calib.json
+//! calib_bench --budget 40        # override the evaluation budget
 //! calib_bench --jobs 4           # fan candidate evaluations out
 //! calib_bench --cache results/.cache  # persist engine results on disk
 //! calib_bench --out bench/       # write the JSON elsewhere
 //! ```
 //!
-//! The bench performs exactly the artifact's fit — perturbed start
-//! (+25% DRAM latency, −25% HT bandwidth), stream + latency target
-//! families, quick fidelity — and records what the report tables
-//! deliberately leave out: the best-score trajectory, evaluation count,
-//! and the scheduler's cache hit-rate. It exits non-zero when a
-//! calibration invariant is violated (fit did not converge, or a fitted
-//! parameter landed outside the recovery tolerance), so CI catches a
-//! regressing optimizer the same way it catches a performance cliff.
+//! The bench performs exactly the artifact's fit — the perturbed start
+//! ([`calibration::perturbed_start`]), evaluator
+//! ([`calibration::fit_evaluator`]) and fit configuration
+//! ([`calibration::fit_config`]) at quick fidelity — and records what
+//! the report tables deliberately leave out: the best-score trajectory,
+//! evaluation count, and the scheduler's cache hit-rate. It exits
+//! non-zero when a calibration invariant is violated (fit did not
+//! converge, or a fitted parameter landed outside the recovery
+//! tolerance), so CI catches a regressing optimizer the same way it
+//! catches a performance cliff.
 
 use corescope_harness::artifacts::calibration;
 use corescope_harness::Fidelity;
@@ -25,7 +27,8 @@ use corescope_sched::{json, ResultCache, Scheduler};
 use std::time::Instant;
 
 struct Options {
-    budget: usize,
+    /// Overrides the artifact's own quick budget when set.
+    budget: Option<usize>,
     jobs: usize,
     cache_dir: Option<std::path::PathBuf>,
     out: std::path::PathBuf,
@@ -33,7 +36,7 @@ struct Options {
 
 fn parse_args() -> Result<Options, String> {
     let mut options = Options {
-        budget: 60,
+        budget: None,
         jobs: 1,
         cache_dir: None,
         out: std::path::PathBuf::from("BENCH_calib.json"),
@@ -42,11 +45,12 @@ fn parse_args() -> Result<Options, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--budget" | "-b" => {
-                options.budget = args
-                    .next()
-                    .ok_or("--budget needs a count")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--budget: {e}"))?;
+                options.budget = Some(
+                    args.next()
+                        .ok_or("--budget needs a count")?
+                        .parse::<usize>()
+                        .map_err(|e| format!("--budget: {e}"))?,
+                );
             }
             "--jobs" | "-j" => {
                 options.jobs = args
@@ -85,13 +89,12 @@ fn run() -> Result<(), String> {
         None => Scheduler::new(options.jobs),
     };
 
-    let eval = corescope_calib::Evaluator::with_families(
-        &sched,
-        Fidelity::Quick,
-        &[corescope_calib::Family::Stream, corescope_calib::Family::Latency],
-    );
+    let eval = calibration::fit_evaluator(&sched, Fidelity::Quick);
     let start = calibration::perturbed_start();
-    let config = calibration::fit_config(Fidelity::Quick).with_budget(options.budget);
+    let mut config = calibration::fit_config(Fidelity::Quick);
+    if let Some(budget) = options.budget {
+        config = config.with_budget(budget);
+    }
 
     let started = Instant::now();
     let outcome = corescope_calib::fit(&eval, start, &config).map_err(|e| e.to_string())?;
@@ -138,7 +141,7 @@ fn run() -> Result<(), String> {
          \"scenarios\":{},\"engine_runs\":{},\"cache_hits\":{hits},\
          \"cache_hit_rate\":{},\
          \"trajectory\":[{}]}}\n",
-        options.budget,
+        config.budget,
         outcome.evaluations,
         json::num(outcome.start_score),
         json::num(outcome.best_score),

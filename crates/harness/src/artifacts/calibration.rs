@@ -101,6 +101,14 @@ pub fn fit_config(fidelity: Fidelity) -> FitConfig {
     FitConfig::new(FITTED_AXES.iter().map(|n| axis(n)).collect()).with_budget(budget)
 }
 
+/// The evaluator the fit scores candidates with: the stream, latency and
+/// lookup families, which together identify the four [`FITTED_AXES`].
+/// The artifact and `calib_bench` both build it here, so the bench always
+/// performs exactly the artifact's fit.
+pub fn fit_evaluator(sched: &Scheduler, fidelity: Fidelity) -> Evaluator<'_> {
+    Evaluator::with_families(sched, fidelity, &[Family::Stream, Family::Latency, Family::Lookup])
+}
+
 /// Regenerates the X7 artifact.
 ///
 /// # Errors
@@ -112,11 +120,7 @@ pub fn extra7(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     let start = perturbed_start();
 
     // --- The fit itself, over the families that identify the four axes.
-    let fit_eval = Evaluator::with_families(
-        sched,
-        fidelity,
-        &[Family::Stream, Family::Latency, Family::Lookup],
-    );
+    let fit_eval = fit_evaluator(sched, fidelity);
     let config = fit_config(fidelity);
     let outcome = fit(&fit_eval, start, &config)?;
     if !outcome.converged {

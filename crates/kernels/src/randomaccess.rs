@@ -105,22 +105,23 @@ pub fn append_mpi(world: &mut CommWorld<'_>, params: &RaParams) {
     let chunk: u64 = 256;
     let chunks = (params.updates_per_rank / chunk).max(1);
     // Per chunk: generate updates, bucket-exchange with all peers, apply
-    // the received share.
+    // the received share. Every chunk is identical, so the program stores
+    // one.
     let local_fraction = 1.0 / p as f64;
     let apply_ws = params.table_words_per_rank as f64 * F64;
-    for _ in 0..chunks {
-        let gen = ComputePhase::new("ra-generate", 0.0, TrafficProfile::stream(chunk as f64 * F64));
-        world.compute_all(|_| Some(gen.clone()));
-        // Each peer receives its share of the chunk.
-        let bytes = (chunk as f64 * F64 * (1.0 - local_fraction) / (p as f64 - 1.0)).max(F64);
-        world.alltoall(bytes);
-        let apply = ComputePhase::new(
-            "ra-apply",
-            0.0,
-            TrafficProfile::random(2.0 * chunk as f64 * F64, apply_ws),
-        );
-        world.compute_all(|_| Some(apply.clone()));
-    }
+    let gen = ComputePhase::new("ra-generate", 0.0, TrafficProfile::stream(chunk as f64 * F64));
+    // Each peer receives its share of the chunk.
+    let bytes = (chunk as f64 * F64 * (1.0 - local_fraction) / (p as f64 - 1.0)).max(F64);
+    let apply = ComputePhase::new(
+        "ra-apply",
+        0.0,
+        TrafficProfile::random(2.0 * chunk as f64 * F64, apply_ws),
+    );
+    world.repeat(chunks, |w| {
+        w.compute_all(|_| Some(gen.clone()));
+        w.alltoall(bytes);
+        w.compute_all(|_| Some(apply.clone()));
+    });
 }
 
 #[cfg(test)]
@@ -172,6 +173,24 @@ mod tests {
             let params = RaParams { table_words_per_rank: 1 << 20, updates_per_rank: 1 << 16 };
             append_mpi(&mut w, &params);
             w.run().unwrap().makespan
+        }
+
+        #[test]
+        fn mpi_program_text_does_not_grow_with_updates() {
+            let m = Machine::new(systems::longs());
+            let build = |updates_per_rank| {
+                let placements = Scheme::TwoMpiLocalAlloc.resolve(&m, 16).unwrap();
+                let mut w =
+                    CommWorld::new(&m, placements, MpiImpl::Mpich2.profile(), LockLayer::USysV);
+                append_mpi(&mut w, &RaParams { table_words_per_rank: 1 << 20, updates_per_rank });
+                w.programs().to_vec()
+            };
+            let small = build(1 << 10);
+            let large = build(1 << 20);
+            for (s, l) in small.iter().zip(&large) {
+                assert_eq!(s.len(), l.len());
+                assert_eq!(l.executed_len(), 1024 * s.executed_len());
+            }
         }
 
         #[test]

@@ -110,17 +110,17 @@ impl StreamParams {
 /// Appends a full STREAM run (every rank sweeps concurrently, "Star"
 /// style) to a world.
 pub fn append_star(world: &mut CommWorld<'_>, params: &StreamParams) {
-    for _ in 0..params.sweeps {
-        let phase = params.phase();
-        world.compute_all(|_| Some(phase.clone()));
-    }
+    let phase = params.phase();
+    world.repeat(params.sweeps as u64, |w| {
+        w.compute_all(|_| Some(phase.clone()));
+    });
 }
 
 /// Appends a single-rank STREAM run (rank 0 only, "Single" style).
 pub fn append_single(world: &mut CommWorld<'_>, params: &StreamParams) {
-    for _ in 0..params.sweeps {
-        world.compute(0, params.phase());
-    }
+    world.repeat(params.sweeps as u64, |w| {
+        w.compute(0, params.phase());
+    });
 }
 
 #[cfg(test)]

@@ -6,6 +6,12 @@
 //! active flow set changes, per-flow rates are re-solved with max-min
 //! fairness ([`crate::flow::solve_maxmin`]) and completion events are
 //! recomputed.
+//!
+//! Each rank walks its program through a stack of loop frames, so an
+//! [`Op::Repeat`] runs without ever being unrolled; delivered transfers
+//! give their slot back to a free list and drained match queues are
+//! dropped, so engine state is bounded by the messages in flight rather
+//! than by the messages sent.
 
 use crate::cache;
 use crate::error::{Error, Result};
@@ -25,6 +31,7 @@ use crate::Machine;
 
 pub use crate::metrics::{RunMetrics, RunReport};
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -474,7 +481,7 @@ enum TransferState {
     Starting { at: f64 },
     /// Transfer in flight as flow `flow`.
     Flowing { flow: usize },
-    /// Delivered.
+    /// Delivered; the slot is on the free list.
     Done,
 }
 
@@ -489,6 +496,43 @@ struct Transfer {
     /// Retransmissions already spent on this transfer (see
     /// [`RetryPolicy`]).
     attempts: usize,
+}
+
+/// One level of a rank's loop nest: the op list being walked and where.
+/// The bottom frame walks the whole program once; each entered
+/// [`Op::Repeat`] pushes a frame over its body.
+#[derive(Debug, Clone, Copy)]
+struct Frame<'a> {
+    ops: &'a [Op],
+    /// Next op to fetch from `ops`.
+    pc: usize,
+    /// Iterations still to run after the current one.
+    iterations_left: u64,
+    tag_stride: u64,
+    /// Tag offset of the current iteration: iteration × stride summed
+    /// over this frame and every enclosing one.
+    tag_offset: u64,
+}
+
+impl<'a> Frame<'a> {
+    fn program(program: &'a Program) -> Self {
+        Self { ops: program.ops(), pc: 0, iterations_left: 0, tag_stride: 0, tag_offset: 0 }
+    }
+}
+
+/// Key of a FIFO match queue: `(src, dst, tag)`.
+type MatchKey = (usize, usize, u64);
+
+/// Pops the oldest entry queued under `key`, dropping the queue once it
+/// drains: tags are fresh per message, so keeping empty queues would grow
+/// the map by one dead entry per message sent.
+fn pop_match(queues: &mut HashMap<MatchKey, VecDeque<usize>>, key: MatchKey) -> Option<usize> {
+    let Entry::Occupied(mut queue) = queues.entry(key) else { return None };
+    let head = queue.get_mut().pop_front();
+    if queue.get().is_empty() {
+        queue.remove();
+    }
+    head
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -517,18 +561,19 @@ struct ActiveFlow {
 /// deliberately stays live, because the environment does not roll back
 /// when an application restarts.
 #[derive(Debug, Clone)]
-struct SimSnapshot {
+struct SimSnapshot<'a> {
     /// Simulated time the cut was taken at.
     at: f64,
-    pc: Vec<usize>,
+    frames: Vec<Vec<Frame<'a>>>,
     status: Vec<Status>,
     finish: Vec<f64>,
     flows: Vec<Option<ActiveFlow>>,
     live_flows: usize,
     transfers: Vec<Transfer>,
+    free_transfers: Vec<usize>,
     starting_transfers: Vec<usize>,
-    pending_sends: HashMap<(usize, usize, u64), VecDeque<usize>>,
-    pending_recvs: HashMap<(usize, usize, u64), VecDeque<usize>>,
+    pending_sends: HashMap<MatchKey, VecDeque<usize>>,
+    pending_recvs: HashMap<MatchKey, VecDeque<usize>>,
     barrier_arrived: usize,
 }
 
@@ -546,19 +591,24 @@ struct Sim<'a, 'm> {
     /// rank finishes its current operation but dispatches nothing.
     stalled: Vec<bool>,
     now: f64,
-    pc: Vec<usize>,
+    /// Per-rank loop-frame stack; empty once the rank's program is
+    /// exhausted.
+    frames: Vec<Vec<Frame<'a>>>,
     status: Vec<Status>,
     finish: Vec<f64>,
     flows: Vec<Option<ActiveFlow>>,
     live_flows: usize,
+    /// Transfer slots; a delivered transfer's slot goes to
+    /// `free_transfers` and is reused by a later send.
     transfers: Vec<Transfer>,
+    free_transfers: Vec<usize>,
     /// Transfers in the `Starting` state (the only ones with a timer), so
-    /// the event scan does not walk the full transfer history.
+    /// the event scan does not walk every transfer slot.
     starting_transfers: Vec<usize>,
     /// FIFO of unmatched send transfer-indices per (src, dst, tag).
-    pending_sends: HashMap<(usize, usize, u64), VecDeque<usize>>,
+    pending_sends: HashMap<MatchKey, VecDeque<usize>>,
     /// FIFO of unmatched receives per (src, dst, tag).
-    pending_recvs: HashMap<(usize, usize, u64), VecDeque<usize>>,
+    pending_recvs: HashMap<MatchKey, VecDeque<usize>>,
     barrier_arrived: usize,
     metrics: RunMetrics,
     rates_dirty: bool,
@@ -570,7 +620,7 @@ struct Sim<'a, 'm> {
     /// eligible for retry. Cleared by a restore.
     failed_resources: Vec<bool>,
     /// Last completed checkpoint (present iff a policy is active).
-    snapshot: Option<Box<SimSnapshot>>,
+    snapshot: Option<Box<SimSnapshot<'a>>>,
     /// When the next coordinated checkpoint starts.
     next_ckpt_at: Option<f64>,
     /// Checkpoint flows still draining for the in-progress checkpoint.
@@ -595,12 +645,13 @@ impl<'a, 'm> Sim<'a, 'm> {
             next_fault: 0,
             stalled: vec![false; n],
             now: 0.0,
-            pc: vec![0; n],
+            frames: programs.iter().map(|p| vec![Frame::program(p)]).collect(),
             status: vec![Status::Ready; n],
             finish: vec![0.0; n],
             flows: Vec::new(),
             live_flows: 0,
             transfers: Vec::new(),
+            free_transfers: Vec::new(),
             starting_transfers: Vec::new(),
             pending_sends: HashMap::new(),
             pending_recvs: HashMap::new(),
@@ -681,18 +732,6 @@ impl<'a, 'm> Sim<'a, 'm> {
                 });
             }
 
-            if self.metrics.events.is_multiple_of(1000)
-                && std::env::var_os("CORESCOPE_TRACE").is_some()
-            {
-                eprintln!(
-                    "[trace] event {} t={:.9} live_flows={} statuses={:?} flows={:?}",
-                    self.metrics.events,
-                    self.now,
-                    self.live_flows,
-                    &self.status,
-                    self.flows.iter().flatten().map(|f| (f.remaining, f.rate)).collect::<Vec<_>>()
-                );
-            }
             let Some(app_next) = self.next_event_time() else {
                 // Deliberately checked before merging the checkpoint
                 // timer: checkpointing a deadlocked application forever is
@@ -822,16 +861,18 @@ impl<'a, 'm> Sim<'a, 'm> {
         if self.trace.is_none() {
             return;
         }
-        self.trace_close_span(rank);
-        let now = self.now;
-        let Some(trace) = self.trace.as_deref_mut() else { return };
         let (kind, label) = match op {
             Op::Compute(phase) => (SpanKind::Compute, phase.label),
             Op::Delay(_) => (SpanKind::Delay, "delay"),
             Op::Send { .. } => (SpanKind::Send, "send"),
             Op::Recv { .. } => (SpanKind::Recv, "recv"),
             Op::Barrier => (SpanKind::Barrier, "barrier"),
+            // Loops dispatch nothing, so they open no span.
+            Op::Repeat { .. } => return,
         };
+        self.trace_close_span(rank);
+        let now = self.now;
+        let Some(trace) = self.trace.as_deref_mut() else { return };
         trace.open[rank] = Some(OpenSpan { kind, label, t0: now, attributed: Vec::new() });
     }
 
@@ -941,26 +982,59 @@ impl<'a, 'm> Sim<'a, 'm> {
         }
     }
 
+    /// Fetches `rank`'s next op to dispatch and the tag offset it runs
+    /// under, stepping through loop bookkeeping (entering, iterating,
+    /// leaving) on the way; `None` once the program is exhausted.
+    fn next_op(&mut self, rank: usize) -> Option<(&'a Op, u64)> {
+        let stack = &mut self.frames[rank];
+        loop {
+            let frame = stack.last_mut()?;
+            let ops = frame.ops;
+            if let Some(op) = ops.get(frame.pc) {
+                frame.pc += 1;
+                let Op::Repeat { body, count, tag_stride } = op else {
+                    return Some((op, frame.tag_offset));
+                };
+                if *count > 0 && !body.is_empty() {
+                    let tag_offset = frame.tag_offset;
+                    stack.push(Frame {
+                        ops: body.ops(),
+                        pc: 0,
+                        iterations_left: count - 1,
+                        tag_stride: *tag_stride,
+                        tag_offset,
+                    });
+                }
+            } else if frame.iterations_left > 0 {
+                frame.iterations_left -= 1;
+                frame.pc = 0;
+                frame.tag_offset += frame.tag_stride;
+            } else {
+                stack.pop();
+            }
+        }
+    }
+
     fn dispatch(&mut self, rank: usize) -> Result<()> {
-        let ops = self.programs[rank].ops();
-        if self.pc[rank] >= ops.len() {
+        let Some((op, tag_offset)) = self.next_op(rank) else {
             self.trace_close_span(rank);
             self.status[rank] = Status::Done;
             self.finish[rank] = self.now;
             return Ok(());
-        }
-        let op = ops[self.pc[rank]].clone();
-        self.pc[rank] += 1;
-        self.trace_open_span(rank, &op);
-        match op {
-            Op::Compute(phase) => self.start_phase(rank, &phase)?,
+        };
+        self.trace_open_span(rank, op);
+        match *op {
+            Op::Compute(ref phase) => self.start_phase(rank, phase)?,
             Op::Delay(seconds) => {
                 if seconds > 0.0 {
                     self.status[rank] = Status::Waiting { until: self.now + seconds };
                 }
             }
-            Op::Send { to, bytes, tag, cost } => self.start_send(rank, to, bytes, tag, cost)?,
-            Op::Recv { from, tag } => self.start_recv(rank, from, tag)?,
+            Op::Send { to, bytes, tag, cost } => {
+                self.start_send(rank, to, bytes, tag + tag_offset, cost)?;
+            }
+            Op::Recv { from, tag } => self.start_recv(rank, from, tag + tag_offset)?,
+            Op::Repeat { .. } => unreachable!("next_op enters loops itself"),
             Op::Barrier => {
                 self.status[rank] = Status::BarrierBlocked;
                 self.barrier_arrived += 1;
@@ -1064,8 +1138,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.metrics.messages_sent[rank] += 1;
         self.metrics.bytes_sent[rank] += bytes;
 
-        let idx = self.transfers.len();
-        self.transfers.push(Transfer {
+        let transfer = Transfer {
             src: rank,
             dst,
             bytes,
@@ -1073,11 +1146,21 @@ impl<'a, 'm> Sim<'a, 'm> {
             send_post: self.now,
             state: TransferState::WaitingRecv,
             attempts: 0,
-        });
+        };
+        let idx = match self.free_transfers.pop() {
+            Some(slot) => {
+                self.transfers[slot] = transfer;
+                slot
+            }
+            None => {
+                self.transfers.push(transfer);
+                self.transfers.len() - 1
+            }
+        };
 
         // Match an already-posted receive, if any.
         let key = (rank, dst, tag);
-        let matched = self.pending_recvs.get_mut(&key).and_then(|q| q.pop_front()).is_some();
+        let matched = pop_match(&mut self.pending_recvs, key).is_some();
         if matched {
             let at = (self.now + cost.setup).max(self.now);
             self.transfers[idx].state = TransferState::Starting { at };
@@ -1103,8 +1186,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             )));
         }
         let key = (src, rank, tag);
-        let send = self.pending_sends.get_mut(&key).and_then(|q| q.pop_front());
-        match send {
+        match pop_match(&mut self.pending_sends, key) {
             Some(t) => {
                 let begin =
                     (self.transfers[t].send_post + self.transfers[t].cost.setup).max(self.now);
@@ -1173,12 +1255,16 @@ impl<'a, 'm> Sim<'a, 'm> {
         Ok(())
     }
 
+    /// Delivers transfer `t`, releasing its receiver (and a rendezvous
+    /// sender), and frees its slot: nothing refers to a delivered
+    /// transfer any more.
     fn complete_transfer(&mut self, t: usize) -> Result<()> {
         let (src, dst, rendezvous) = {
             let tr = &mut self.transfers[t];
             tr.state = TransferState::Done;
             (tr.src, tr.dst, tr.cost.rendezvous)
         };
+        self.free_transfers.push(t);
         // Receiver was blocked on this delivery.
         debug_assert_eq!(self.status[dst], Status::RecvBlocked);
         self.status[dst] = Status::Ready;
@@ -1489,12 +1575,13 @@ impl<'a, 'm> Sim<'a, 'm> {
     fn take_snapshot(&mut self) {
         self.snapshot = Some(Box::new(SimSnapshot {
             at: self.now,
-            pc: self.pc.clone(),
+            frames: self.frames.clone(),
             status: self.status.clone(),
             finish: self.finish.clone(),
             flows: self.flows.clone(),
             live_flows: self.live_flows,
             transfers: self.transfers.clone(),
+            free_transfers: self.free_transfers.clone(),
             starting_transfers: self.starting_transfers.clone(),
             pending_sends: self.pending_sends.clone(),
             pending_recvs: self.pending_recvs.clone(),
@@ -1524,16 +1611,17 @@ impl<'a, 'm> Sim<'a, 'm> {
         for r in 0..self.programs.len() {
             self.trace_close_span(r);
         }
-        let snap: SimSnapshot =
+        let snap: SimSnapshot<'a> =
             (**self.snapshot.as_ref().expect("a checkpoint policy always has a snapshot")).clone();
         let restored_to = snap.at;
         let delta = resumed_at - restored_to;
-        self.pc = snap.pc;
+        self.frames = snap.frames;
         self.status = snap.status;
         self.finish = snap.finish;
         self.flows = snap.flows;
         self.live_flows = snap.live_flows;
         self.transfers = snap.transfers;
+        self.free_transfers = snap.free_transfers;
         self.starting_transfers = snap.starting_transfers;
         self.pending_sends = snap.pending_sends;
         self.pending_recvs = snap.pending_recvs;
@@ -2303,6 +2391,51 @@ mod tests {
         assert!(report.metrics.retries >= 2, "retries = {}", report.metrics.retries);
         // The retransmit resends the full payload after the restore.
         assert!(report.makespan > 0.15, "makespan = {}", report.makespan);
+    }
+
+    #[test]
+    fn recycled_transfer_slots_leave_a_pending_retransmit_intact() {
+        let m = Machine::new(systems::dmz());
+        let engine = Engine::new(&m).with_retry(RetryPolicy::new(5e-3).with_backoff(5e-3));
+        let cost = MessageCost { setup: 1e-6, cap: 1e9, sender_busy: 0.0, rendezvous: true };
+        // Rank 0 -> 1 crosses socket 0 -> 1 with a payload the link
+        // failure catches in flight. Ranks 3 -> 2 cross the other way and
+        // deliver 200 small messages while that retransmit is pending.
+        let mut p0 = Program::new();
+        p0.send(RankId::new(1), 1e8, 0, cost);
+        let mut p1 = Program::new();
+        p1.recv(RankId::new(0), 0);
+        let mut send = Program::new();
+        send.send(RankId::new(2), 1e4, 1, cost);
+        let mut recv = Program::new();
+        recv.recv(RankId::new(3), 1);
+        let mut p2 = Program::new();
+        p2.repeat(recv, 200, 1);
+        let mut p3 = Program::new();
+        p3.delay(0.051).repeat(send, 200, 1);
+        let placements = [0, 2, 1, 3].map(|core| local_placement(&m, core));
+        let programs = [p0, p1, p2, p3];
+        let plan = crate::FaultPlan::new()
+            .link_fail(0.05, LinkId::new(0))
+            .link_restore(0.08, LinkId::new(0));
+
+        let faults = engine.prepare(&placements, &programs, &plan).unwrap();
+        let mut sim = Sim::new(&engine, &placements, &programs, faults, TraceConfig::off());
+        let makespan = sim.run_loop().unwrap();
+        assert!(sim.metrics.retries >= 2, "retries = {}", sim.metrics.retries);
+        assert_eq!(sim.metrics.total_messages(), 201);
+        // The small messages all landed during the outage...
+        assert!(sim.finish[2] < 0.08 && sim.finish[3] < 0.08, "{:?}", sim.finish);
+        // ...through one recycled slot beside the pending retransmit's.
+        assert_eq!(sim.transfers.len(), 2);
+        assert!(sim.pending_sends.is_empty() && sim.pending_recvs.is_empty());
+        // The retransmit still delivered the full payload after restore.
+        assert!(sim.finish[1] > 0.15 && makespan == sim.finish[1], "{:?}", sim.finish);
+        // And the loop form ran exactly as the unrolled programs do.
+        let flat: Vec<Program> = programs.iter().map(Program::unrolled).collect();
+        let looped = engine.observe(&placements, &programs, &plan, TraceConfig::on());
+        let unrolled = engine.observe(&placements, &flat, &plan, TraceConfig::on());
+        assert_eq!(format!("{looped:?}"), format!("{unrolled:?}"));
     }
 
     #[test]

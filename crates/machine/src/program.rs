@@ -3,9 +3,16 @@
 //! A [`Program`] is the list of operations one rank executes: compute
 //! phases (with flop counts and memory-traffic profiles), point-to-point
 //! messages with explicit cost parameters (filled in by the MPI layer),
-//! barriers, and fixed delays. Workload models in the kernel/application
-//! crates build programs; the [`Engine`](crate::engine::Engine) executes
-//! them.
+//! barriers, fixed delays, and loops over a body of further ops. Workload
+//! models in the kernel/application crates build programs; the
+//! [`Engine`](crate::engine::Engine) executes them.
+//!
+//! A loop ([`Op::Repeat`]) keeps a program's size proportional to its
+//! text, not to its iteration count: a 4,096-chunk RandomAccess run stores
+//! one chunk. Iteration `i` of a loop shifts every message tag in its body
+//! by `i × tag_stride`, so a loop runs exactly like its
+//! [`Program::unrolled`] expansion, in which every iteration carries fresh
+//! tags.
 
 use crate::ids::RankId;
 use crate::memory::MemoryLayout;
@@ -106,9 +113,21 @@ pub enum Op {
     /// Sleep for a fixed number of seconds (serial sections, lock costs,
     /// I/O stand-ins).
     Delay(f64),
+    /// Run `body` `count` times. Iteration `i` adds `i × tag_stride` to
+    /// every send and receive tag in the body (on top of the offsets of
+    /// enclosing loops). Entering, iterating and leaving a loop takes no
+    /// simulated time and dispatches nothing.
+    Repeat {
+        /// The ops of one iteration.
+        body: Program,
+        /// Number of iterations.
+        count: u64,
+        /// Tag offset between consecutive iterations.
+        tag_stride: u64,
+    },
 }
 
-/// A rank's full operation list.
+/// A rank's full operation list (its program text; loops stay rolled up).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     ops: Vec<Op>,
@@ -150,20 +169,79 @@ impl Program {
         self
     }
 
+    /// Appends a loop running `body` `count` times, shifting its message
+    /// tags by `tag_stride` per iteration (see [`Op::Repeat`]).
+    pub fn repeat(&mut self, body: Program, count: u64, tag_stride: u64) -> &mut Self {
+        self.ops.push(Op::Repeat { body, count, tag_stride });
+        self
+    }
+
     /// Appends an arbitrary op.
     pub fn push(&mut self, op: Op) -> &mut Self {
         self.ops.push(op);
         self
     }
 
-    /// The operation list.
+    /// The top-level operation list (loop bodies stay inside their
+    /// [`Op::Repeat`]).
     pub fn ops(&self) -> &[Op] {
         &self.ops
     }
 
-    /// Number of operations.
+    /// Number of operations stored: the program's text length. A loop
+    /// counts as one op plus its body, whatever its iteration count.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.ops
+            .iter()
+            .map(|op| match op {
+                Op::Repeat { body, .. } => 1 + body.len(),
+                _ => 1,
+            })
+            .sum()
+    }
+
+    /// Number of operations the engine dispatches: every loop body counted
+    /// once per iteration, the loops themselves not at all. Equals
+    /// `self.unrolled().len()` (saturating at `u64::MAX`).
+    pub fn executed_len(&self) -> u64 {
+        self.ops
+            .iter()
+            .map(|op| match op {
+                Op::Repeat { body, count, .. } => count.saturating_mul(body.executed_len()),
+                _ => 1,
+            })
+            .fold(0, u64::saturating_add)
+    }
+
+    /// The same program with every loop expanded in place and each
+    /// iteration's tag offset applied: the flat op list the loop form is
+    /// defined to run exactly like.
+    pub fn unrolled(&self) -> Program {
+        let mut out = Program::new();
+        self.unroll_into(0, &mut out.ops);
+        out
+    }
+
+    fn unroll_into(&self, tag_offset: u64, out: &mut Vec<Op>) {
+        for op in &self.ops {
+            match op {
+                Op::Repeat { body, count, tag_stride } => {
+                    for i in 0..*count {
+                        body.unroll_into(tag_offset + i * tag_stride, out);
+                    }
+                }
+                Op::Send { to, bytes, tag, cost } => {
+                    out.push(Op::Send {
+                        to: *to,
+                        bytes: *bytes,
+                        tag: tag + tag_offset,
+                        cost: *cost,
+                    });
+                }
+                Op::Recv { from, tag } => out.push(Op::Recv { from: *from, tag: tag + tag_offset }),
+                other => out.push(other.clone()),
+            }
+        }
     }
 
     /// Whether the program has no operations.
@@ -171,23 +249,26 @@ impl Program {
         self.ops.is_empty()
     }
 
-    /// Total flops across all compute phases (for sanity checks).
+    /// Total flops across all executed compute phases, loop iterations
+    /// included (for sanity checks).
     pub fn total_flops(&self) -> f64 {
         self.ops
             .iter()
             .map(|op| match op {
                 Op::Compute(p) => p.flops,
+                Op::Repeat { body, count, .. } => *count as f64 * body.total_flops(),
                 _ => 0.0,
             })
             .sum()
     }
 
-    /// Total bytes sent by this program.
+    /// Total bytes sent by this program, loop iterations included.
     pub fn total_sent_bytes(&self) -> f64 {
         self.ops
             .iter()
             .map(|op| match op {
                 Op::Send { bytes, .. } => *bytes,
+                Op::Repeat { body, count, .. } => *count as f64 * body.total_sent_bytes(),
                 _ => 0.0,
             })
             .sum()
@@ -230,6 +311,36 @@ mod tests {
         assert_eq!(p.efficiency, 1.0);
         let p = ComputePhase::new("x", 1.0, TrafficProfile::none()).with_efficiency(-1.0);
         assert!(p.efficiency > 0.0);
+    }
+
+    #[test]
+    fn loops_store_their_text_and_unroll_with_shifted_tags() {
+        let mut body = Program::new();
+        body.send(RankId::new(1), 8.0, 3, MessageCost::free())
+            .recv(RankId::new(1), 4)
+            .compute(ComputePhase::new("x", 10.0, TrafficProfile::none()));
+        let mut inner = Program::new();
+        inner.recv(RankId::new(2), 0);
+        body.repeat(inner, 2, 1);
+        let mut p = Program::new();
+        p.barrier().repeat(body, 3, 10);
+        // barrier + repeat + (send, recv, compute, repeat + recv)
+        assert_eq!(p.len(), 7);
+        assert_eq!(p.executed_len(), 1 + 3 * (3 + 2));
+        let flat = p.unrolled();
+        assert_eq!(flat.len() as u64, p.executed_len());
+        assert_eq!(p.total_flops(), 30.0);
+        assert_eq!(p.total_sent_bytes(), 24.0);
+        assert_eq!(flat.total_sent_bytes(), p.total_sent_bytes());
+        let tags: Vec<u64> = flat
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                Op::Send { tag, .. } | Op::Recv { tag, .. } => Some(*tag),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tags, [3, 4, 0, 1, 13, 14, 10, 11, 23, 24, 20, 21]);
     }
 
     #[test]

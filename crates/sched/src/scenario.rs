@@ -501,10 +501,10 @@ impl Workload {
                     flops_per_step,
                     TrafficProfile::stream(bytes_per_step),
                 );
-                for _ in 0..steps {
-                    world.compute_all(|_| Some(phase.clone()));
-                    world.allreduce(sync_bytes);
-                }
+                world.repeat(steps as u64, |w| {
+                    w.compute_all(|_| Some(phase.clone()));
+                    w.allreduce(sync_bytes);
+                });
             }
             Workload::StreamSingle { kernel, elements_per_rank, sweeps } => {
                 stream_single(world, &StreamParams { kernel, elements_per_rank, sweeps });

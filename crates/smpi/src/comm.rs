@@ -6,6 +6,8 @@
 //! machine's engine. Message costs are resolved through
 //! [`crate::transport::message_cost`] at append time, so the topology and
 //! lock sub-layer are baked into each message exactly once.
+//! [`CommWorld::repeat`] stores a loop once instead of unrolling it, so a
+//! program's size follows its text, not its iteration count.
 
 use crate::profiles::{LockLayer, MpiProfile};
 use crate::transport::message_cost;
@@ -132,7 +134,8 @@ impl<'m> CommWorld<'m> {
         &self.placements
     }
 
-    /// The per-rank programs built so far.
+    /// The per-rank programs built so far (inside a
+    /// [`CommWorld::repeat`] body: the body built so far).
     pub fn programs(&self) -> &[Program] {
         &self.programs
     }
@@ -203,6 +206,46 @@ impl<'m> CommWorld<'m> {
         self.send(b, a, bytes, t_ba);
         self.recv(b, a, t_ab);
         self.recv(a, b, t_ba);
+        self
+    }
+
+    /// Appends `count` iterations of whatever `body` appends, storing one
+    /// iteration: each rank whose share of the body is non-empty gets one
+    /// [`Op::Repeat`](corescope_machine::Op::Repeat). Tags handed out
+    /// inside `body` are iteration 0's; the loop shifts them by the number
+    /// of tags one iteration used, and the world skips past all `count`
+    /// iterations' tags. The programs therefore run exactly like `count`
+    /// unrolled calls of `body`.
+    ///
+    /// ```
+    /// # use corescope_affinity::Scheme;
+    /// # use corescope_machine::{systems, Machine};
+    /// # use corescope_smpi::{CommWorld, LockLayer, MpiImpl};
+    /// let m = Machine::new(systems::dmz());
+    /// let placements = Scheme::OneMpiLocalAlloc.resolve(&m, 2).unwrap();
+    /// let mut w = CommWorld::new(&m, placements, MpiImpl::OpenMpi.profile(), LockLayer::USysV);
+    /// w.repeat(1000, |w| {
+    ///     w.p2p(0, 1, 64.0);
+    /// });
+    /// // One stored iteration per rank, a thousand executed.
+    /// assert_eq!(w.programs()[1].len(), 3);
+    /// assert_eq!(w.programs()[1].executed_len(), 2000);
+    /// ```
+    pub fn repeat(&mut self, count: u64, body: impl FnOnce(&mut Self)) -> &mut Self {
+        let n = self.size();
+        let outer = std::mem::replace(&mut self.programs, vec![Program::new(); n]);
+        let first_tag = self.next_tag;
+        body(self);
+        let tag_stride = self.next_tag - first_tag;
+        let bodies = std::mem::replace(&mut self.programs, outer);
+        for (program, body) in self.programs.iter_mut().zip(bodies) {
+            if count > 0 && !body.is_empty() {
+                program.repeat(body, count, tag_stride);
+            }
+        }
+        // Saturating: a loop too long for distinct tags could never run
+        // within the engine's event budget anyway.
+        self.next_tag = first_tag.saturating_add(count.saturating_mul(tag_stride));
         self
     }
 
@@ -353,6 +396,41 @@ mod tests {
         }
         let report = w.run().unwrap();
         assert_eq!(report.metrics.total_messages(), 200);
+    }
+
+    #[test]
+    fn repeat_unrolls_to_the_plain_loop_it_replaces() {
+        let m = Machine::new(systems::dmz());
+        let step = |w: &mut CommWorld<'_>| {
+            w.compute(0, ComputePhase::new("work", 1e6, TrafficProfile::none()));
+            w.allreduce(64.0);
+            w.p2p(1, 3, 1e6);
+        };
+        let four = || {
+            let placements = Scheme::TwoMpiLocalAlloc.resolve(&m, 4).unwrap();
+            CommWorld::new(&m, placements, MpiImpl::OpenMpi.profile(), LockLayer::USysV)
+        };
+        let mut looped = four();
+        looped.repeat(3, |w| {
+            step(w);
+            w.repeat(4, |w| {
+                w.sendrecv(0, 2, 8.0);
+            });
+            w.repeat(0, step);
+        });
+        looped.p2p(2, 1, 8.0);
+        let mut plain = four();
+        for _ in 0..3 {
+            step(&mut plain);
+            for _ in 0..4 {
+                plain.sendrecv(0, 2, 8.0);
+            }
+        }
+        plain.p2p(2, 1, 8.0);
+        let unrolled: Vec<Program> = looped.programs().iter().map(Program::unrolled).collect();
+        assert_eq!(unrolled, plain.programs());
+        assert!(looped.programs().iter().zip(plain.programs()).all(|(l, p)| l.len() < p.len()));
+        assert_eq!(looped.run().unwrap(), plain.run().unwrap());
     }
 
     #[test]

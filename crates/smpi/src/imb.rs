@@ -38,10 +38,10 @@ pub fn pingpong_time(
         ));
     }
     let mut world = CommWorld::new(machine, placements.to_vec(), profile.clone(), lock);
-    for _ in 0..reps {
-        world.p2p(0, 1, bytes);
-        world.p2p(1, 0, bytes);
-    }
+    world.repeat(reps as u64, |w| {
+        w.p2p(0, 1, bytes);
+        w.p2p(1, 0, bytes);
+    });
     let report = world.run()?;
     Ok(report.makespan / (2.0 * reps as f64))
 }
@@ -88,9 +88,9 @@ pub fn exchange_time(
     // Build the world over only the active ranks, then pad with parked
     // placements so the machine sees the same occupancy.
     let mut world = CommWorld::new(machine, placements[..active].to_vec(), profile.clone(), lock);
-    for _ in 0..reps {
-        world.exchange_step(bytes);
-    }
+    world.repeat(reps as u64, |w| {
+        w.exchange_step(bytes);
+    });
     // Parked ranks: placements occupy cores but run no program. Rebuild
     // with full placement set and the same programs padded with empties.
     let mut programs = world.programs().to_vec();
