@@ -9,17 +9,20 @@
 //!
 //! Each rank walks its program through a stack of loop frames, so an
 //! [`Op::Repeat`] runs without ever being unrolled; delivered transfers
-//! give their slot back to a free list and drained match queues are
-//! dropped, so engine state is bounded by the messages in flight rather
-//! than by the messages sent.
+//! give their slot back to a free list and matched sends leave their
+//! receiver's queue, so engine state is bounded by the messages in
+//! flight rather than by the messages sent.
+//!
+//! The per-event path allocates nothing once its buffers have grown:
+//! routes and memory latencies are interned per engine, rates are solved
+//! in a reusable [`SolverWorkspace`], and matching walks short
+//! per-receiver lists instead of hashing `(src, dst, tag)` keys.
 
 use crate::cache;
 use crate::error::{Error, Result};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::flow::{
-    solve_maxmin, solve_maxmin_attributed, Bottleneck, FlowSpec, ResourceIndex, ResourceTable,
-};
-use crate::ids::{CoreId, LinkId, RankId, SocketId};
+use crate::flow::{Bottleneck, ResourceIndex, ResourceTable, SolverWorkspace};
+use crate::ids::{CoreId, LinkId, NumaNodeId, RankId, SocketId};
 use crate::memory::MemoryLayout;
 use crate::program::{ComputePhase, MessageCost, Op, Program};
 use crate::recovery::{CheckpointPolicy, CheckpointTarget, RetryPolicy};
@@ -31,9 +34,8 @@ use crate::Machine;
 
 pub use crate::metrics::{RunMetrics, RunReport};
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Where a rank runs and where its pages live.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,6 +81,10 @@ pub struct Engine<'m> {
     /// Machine-wide coherence-probe fabric (all DRAM traffic shares it on
     /// multi-socket machines).
     probe_index: Option<ResourceIndex>,
+    routes: RouteTable,
+    /// `Machine::memory_latency(core, node)` at `core * num_sockets +
+    /// node`.
+    latency: Vec<f64>,
     max_events: usize,
     time_budget: Option<f64>,
     zero_progress_limit: usize,
@@ -99,12 +105,12 @@ impl<'m> Engine<'m> {
     pub fn new(machine: &'m Machine) -> Self {
         let mut resources = ResourceTable::new();
         let spec = machine.spec();
-        let mc_index = machine
+        let mc_index: Vec<_> = machine
             .sockets()
             .map(|s| resources.add(format!("mc:{s}"), spec.memory_of(s.index()).controller_bw))
             .collect();
         let topo = machine.topology();
-        let link_index = (0..topo.num_links())
+        let link_index: Vec<_> = (0..topo.num_links())
             .map(|l| {
                 let (a, b) = topo.link_endpoints(LinkId::new(l));
                 let bw = spec.link_of(topo.edge_of(LinkId::new(l))).bandwidth;
@@ -113,12 +119,19 @@ impl<'m> Engine<'m> {
             .collect();
         let probe_index = (machine.num_compute_sockets() > 1)
             .then(|| resources.add("coherence-probe", spec.coherence.probe_capacity));
+        let routes = RouteTable::new(machine, &mc_index, &link_index, probe_index);
+        let latency = machine
+            .cores()
+            .flat_map(|core| machine.nodes().map(move |node| machine.memory_latency(core, node)))
+            .collect();
         Self {
             machine,
             resources,
             mc_index,
             link_index,
             probe_index,
+            routes,
+            latency,
             max_events: 20_000_000,
             time_budget: None,
             zero_progress_limit: 50_000,
@@ -177,6 +190,18 @@ impl<'m> Engine<'m> {
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
         self
+    }
+
+    /// Uncontended DRAM latency from `core` to `node` as this engine
+    /// charges it: [`Machine::memory_latency`], computed once per engine
+    /// and looked up per compute phase.
+    pub fn memory_latency(&self, core: CoreId, node: NumaNodeId) -> f64 {
+        self.latency[core.index() * self.machine.num_sockets() + node.index()]
+    }
+
+    /// The resources an interned route crosses.
+    fn route(&self, route: Route) -> &[ResourceIndex] {
+        &self.routes.resources[route.start..route.end]
     }
 
     /// Degrades (or restores) a directed link's capacity — failure
@@ -356,6 +381,77 @@ impl<'m> Engine<'m> {
     }
 }
 
+/// A route interned in a [`RouteTable`]: a range of its resources.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Route {
+    start: usize,
+    end: usize,
+}
+
+/// Every resource route a flow can take, built once per engine so that
+/// starting a flow looks its route up instead of walking the topology
+/// and allocating.
+#[derive(Debug, Clone)]
+struct RouteTable {
+    /// All routes' resources back to back.
+    resources: Vec<ResourceIndex>,
+    sockets: usize,
+    /// DRAM traffic of a core on socket `s` to node `n`, at
+    /// `s * sockets + n`: the node's controller, the links from `s` to
+    /// the node's socket, then the probe fabric.
+    memory: Vec<Route>,
+    /// A message from socket `s` to socket `d`, at `s * sockets + d`:
+    /// the source controller, the links, the destination controller,
+    /// then the probe fabric (shared-memory copies are coherent traffic).
+    transfer: Vec<Route>,
+}
+
+impl RouteTable {
+    fn new(
+        machine: &Machine,
+        mc_index: &[ResourceIndex],
+        link_index: &[ResourceIndex],
+        probe_index: Option<ResourceIndex>,
+    ) -> Self {
+        let topo = machine.topology();
+        let sockets = machine.num_sockets();
+        let mut table =
+            Self { resources: Vec::new(), sockets, memory: Vec::new(), transfer: Vec::new() };
+        let links = |src: SocketId, dst: SocketId| {
+            topo.route(src, dst)
+                .expect("a topology routes every pair of its own sockets")
+                .iter()
+                .map(|link| link_index[link.index()])
+        };
+        for src in machine.sockets() {
+            for node in machine.nodes() {
+                let start = table.resources.len();
+                table.resources.push(mc_index[node.index()]);
+                table.resources.extend(links(src, machine.socket_of_node(node)));
+                table.resources.extend(probe_index);
+                table.memory.push(Route { start, end: table.resources.len() });
+            }
+            for dst in machine.sockets() {
+                let start = table.resources.len();
+                table.resources.push(mc_index[src.index()]);
+                table.resources.extend(links(src, dst));
+                table.resources.push(mc_index[dst.index()]);
+                table.resources.extend(probe_index);
+                table.transfer.push(Route { start, end: table.resources.len() });
+            }
+        }
+        table
+    }
+
+    fn memory(&self, src: SocketId, node: NumaNodeId) -> Route {
+        self.memory[src.index() * self.sockets + node.index()]
+    }
+
+    fn transfer(&self, src: SocketId, dst: SocketId) -> Route {
+        self.transfer[src.index() * self.sockets + dst.index()]
+    }
+}
+
 /// Everything one run produced, even when it ended in a typed error.
 ///
 /// [`Engine::run`]'s `Result<RunReport>` throws the partial state of a
@@ -520,20 +616,8 @@ impl<'a> Frame<'a> {
     }
 }
 
-/// Key of a FIFO match queue: `(src, dst, tag)`.
-type MatchKey = (usize, usize, u64);
-
-/// Pops the oldest entry queued under `key`, dropping the queue once it
-/// drains: tags are fresh per message, so keeping empty queues would grow
-/// the map by one dead entry per message sent.
-fn pop_match(queues: &mut HashMap<MatchKey, VecDeque<usize>>, key: MatchKey) -> Option<usize> {
-    let Entry::Occupied(mut queue) = queues.entry(key) else { return None };
-    let head = queue.get_mut().pop_front();
-    if queue.get().is_empty() {
-        queue.remove();
-    }
-    head
-}
+/// An unmatched send queued at its receiver: `(src, tag, transfer)`.
+type PendingSend = (usize, u64, usize);
 
 #[derive(Debug, Clone, Copy)]
 enum FlowOwner {
@@ -545,10 +629,12 @@ enum FlowOwner {
     Checkpoint(usize),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ActiveFlow {
     owner: FlowOwner,
-    spec: FlowSpec,
+    route: Route,
+    /// The flow's own maximum rate in bytes/s.
+    cap: f64,
     initial: f64,
     remaining: f64,
     rate: f64,
@@ -568,12 +654,12 @@ struct SimSnapshot<'a> {
     status: Vec<Status>,
     finish: Vec<f64>,
     flows: Vec<Option<ActiveFlow>>,
-    live_flows: usize,
+    free_flows: BinaryHeap<Reverse<usize>>,
     transfers: Vec<Transfer>,
     free_transfers: Vec<usize>,
     starting_transfers: Vec<usize>,
-    pending_sends: HashMap<MatchKey, VecDeque<usize>>,
-    pending_recvs: HashMap<MatchKey, VecDeque<usize>>,
+    pending_sends: Vec<VecDeque<PendingSend>>,
+    posted_recvs: Vec<Option<(usize, u64)>>,
     barrier_arrived: usize,
 }
 
@@ -595,9 +681,14 @@ struct Sim<'a, 'm> {
     /// exhausted.
     frames: Vec<Vec<Frame<'a>>>,
     status: Vec<Status>,
+    /// Ranks whose status is not Done.
+    running: usize,
     finish: Vec<f64>,
     flows: Vec<Option<ActiveFlow>>,
-    live_flows: usize,
+    /// Vacant flow slots. A new flow takes the lowest one, so flows keep
+    /// the slot order (and with it the solve and completion order) that
+    /// a first-vacancy scan gives.
+    free_flows: BinaryHeap<Reverse<usize>>,
     /// Transfer slots; a delivered transfer's slot goes to
     /// `free_transfers` and is reused by a later send.
     transfers: Vec<Transfer>,
@@ -605,13 +696,21 @@ struct Sim<'a, 'm> {
     /// Transfers in the `Starting` state (the only ones with a timer), so
     /// the event scan does not walk every transfer slot.
     starting_transfers: Vec<usize>,
-    /// FIFO of unmatched send transfer-indices per (src, dst, tag).
-    pending_sends: HashMap<MatchKey, VecDeque<usize>>,
-    /// FIFO of unmatched receives per (src, dst, tag).
-    pending_recvs: HashMap<MatchKey, VecDeque<usize>>,
+    /// Unmatched sends per receiver, oldest first; a receive takes the
+    /// oldest entry with its `(src, tag)`, which is FIFO matching per
+    /// `(src, dst, tag)`.
+    pending_sends: Vec<VecDeque<PendingSend>>,
+    /// The `(src, tag)` each rank's unmatched receive waits for. A rank
+    /// blocks on its receive, so it has at most one.
+    posted_recvs: Vec<Option<(usize, u64)>>,
     barrier_arrived: usize,
     metrics: RunMetrics,
     rates_dirty: bool,
+    solver: SolverWorkspace,
+    /// The flow slot behind each flow loaded into `solver`.
+    solver_slots: Vec<usize>,
+    /// Lowest rank made Ready since `dispatch_all` last looked.
+    ready_low: usize,
     /// `None` when tracing is off: the hot loop then skips every trace
     /// hook without allocating.
     trace: Option<Box<TraceState>>,
@@ -647,17 +746,21 @@ impl<'a, 'm> Sim<'a, 'm> {
             now: 0.0,
             frames: programs.iter().map(|p| vec![Frame::program(p)]).collect(),
             status: vec![Status::Ready; n],
+            running: n,
             finish: vec![0.0; n],
             flows: Vec::new(),
-            live_flows: 0,
+            free_flows: BinaryHeap::new(),
             transfers: Vec::new(),
             free_transfers: Vec::new(),
             starting_transfers: Vec::new(),
-            pending_sends: HashMap::new(),
-            pending_recvs: HashMap::new(),
+            pending_sends: vec![VecDeque::new(); n],
+            posted_recvs: vec![None; n],
             barrier_arrived: 0,
             metrics: RunMetrics::new(n, engine.resources.len()),
             rates_dirty: false,
+            solver: SolverWorkspace::default(),
+            solver_slots: Vec::new(),
+            ready_low: 0,
             trace: trace.is_on().then(|| {
                 Box::new(TraceState {
                     intervals: Vec::new(),
@@ -680,12 +783,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         // Charge flows still in flight for the bytes they actually moved
         // — a run that ends in a typed error (fault kill, stall, budget)
         // must still account its partial traffic.
-        for f in self.flows.iter().flatten() {
-            let moved = (f.initial - f.remaining.max(0.0)).max(0.0);
-            for &r in &f.spec.route {
-                self.metrics.resource_bytes[r] += moved;
-            }
-        }
+        self.charge_flow_bytes();
         for rank in 0..self.programs.len() {
             self.trace_close_span(rank);
         }
@@ -723,7 +821,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.resolve_rates()?;
         let mut zero_dt_iters = 0usize;
 
-        while self.status.iter().any(|s| *s != Status::Done) {
+        while self.running > 0 {
             self.metrics.events += 1;
             if self.metrics.events > self.engine.max_events {
                 return Err(Error::EventBudgetExhausted {
@@ -791,7 +889,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         let mut load = vec![0.0; n];
         let mut routed = vec![false; n];
         for f in self.flows.iter().flatten() {
-            for &r in &f.spec.route {
+            for &r in self.engine.route(f.route) {
                 load[r] += f.rate;
                 routed[r] = true;
             }
@@ -939,8 +1037,8 @@ impl<'a, 'm> Sim<'a, 'm> {
             if f.rate > 0.0 {
                 continue;
             }
-            if let Some(&r) = f.spec.route.iter().find(|&&r| self.resources.get(r).capacity <= 0.0)
-            {
+            let route = self.engine.route(f.route);
+            if let Some(&r) = route.iter().find(|&&r| self.resources.get(r).capacity <= 0.0) {
                 let rank = match f.owner {
                     FlowOwner::Phase(rank) => rank,
                     FlowOwner::Transfer(t) => self.transfers[t].src,
@@ -970,16 +1068,31 @@ impl<'a, 'm> Sim<'a, 'm> {
     }
 
     /// Executes ops for every Ready, non-stalled rank until all are
-    /// blocked, stalled, or done.
+    /// blocked, stalled, or done, always dispatching the lowest such rank
+    /// next.
+    ///
+    /// No rank below `from` is dispatchable. A dispatch can make ranks
+    /// Ready only through [`Sim::set_ready`], which records the lowest in
+    /// `ready_low`, so the scan resumes at the dispatched rank or there
+    /// instead of at rank 0.
     fn dispatch_all(&mut self) -> Result<()> {
+        let mut from = 0;
         loop {
-            let Some(rank) = (0..self.programs.len())
+            let Some(rank) = (from..self.programs.len())
                 .find(|&r| self.status[r] == Status::Ready && !self.stalled[r])
             else {
                 return Ok(());
             };
+            self.ready_low = rank;
             self.dispatch(rank)?;
+            from = self.ready_low;
         }
+    }
+
+    /// Marks `rank` Ready.
+    fn set_ready(&mut self, rank: usize) {
+        self.status[rank] = Status::Ready;
+        self.ready_low = self.ready_low.min(rank);
     }
 
     /// Fetches `rank`'s next op to dispatch and the tag offset it runs
@@ -1019,6 +1132,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         let Some((op, tag_offset)) = self.next_op(rank) else {
             self.trace_close_span(rank);
             self.status[rank] = Status::Done;
+            self.running -= 1;
             self.finish[rank] = self.now;
             return Ok(());
         };
@@ -1040,9 +1154,9 @@ impl<'a, 'm> Sim<'a, 'm> {
                 self.barrier_arrived += 1;
                 if self.barrier_arrived == self.programs.len() {
                     self.barrier_arrived = 0;
-                    for s in &mut self.status {
-                        if *s == Status::BarrierBlocked {
-                            *s = Status::Ready;
+                    for r in 0..self.status.len() {
+                        if self.status[r] == Status::BarrierBlocked {
+                            self.set_ready(r);
                         }
                     }
                 }
@@ -1070,7 +1184,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         let layout = phase.layout.as_ref().unwrap_or(&placement.layout);
         let mut avg_latency = 0.0;
         for (node, frac) in layout.shares() {
-            avg_latency += frac * machine.memory_latency(core, node);
+            avg_latency += frac * self.engine.memory_latency(core, node);
         }
         if phase.traffic.pattern == AccessPattern::Lookup {
             // Dependent lookups miss the open DRAM row and walk the TLB;
@@ -1094,18 +1208,12 @@ impl<'a, 'm> Sim<'a, 'm> {
                 if bytes <= EPS_BYTES {
                     continue;
                 }
-                let mut route = vec![self.engine.mc_index[node.index()]];
-                let dst_socket = machine.socket_of_node(node);
-                for link in machine.topology().route(src_socket, dst_socket)? {
-                    route.push(self.engine.link_index[link.index()]);
-                }
-                if let Some(probe) = self.engine.probe_index {
-                    route.push(probe);
-                }
-                self.check_route(&route)?;
+                let route = self.engine.routes.memory(src_socket, node);
+                self.check_route(self.engine.route(route))?;
                 self.add_flow(ActiveFlow {
                     owner: FlowOwner::Phase(rank),
-                    spec: FlowSpec::new(route, demand.self_cap * frac),
+                    route,
+                    cap: demand.self_cap * frac,
                     initial: bytes,
                     remaining: bytes,
                     rate: 0.0,
@@ -1159,14 +1267,13 @@ impl<'a, 'm> Sim<'a, 'm> {
         };
 
         // Match an already-posted receive, if any.
-        let key = (rank, dst, tag);
-        let matched = pop_match(&mut self.pending_recvs, key).is_some();
-        if matched {
+        if self.posted_recvs[dst] == Some((rank, tag)) {
+            self.posted_recvs[dst] = None;
             let at = (self.now + cost.setup).max(self.now);
             self.transfers[idx].state = TransferState::Starting { at };
             self.starting_transfers.push(idx);
         } else {
-            self.pending_sends.entry(key).or_default().push_back(idx);
+            self.pending_sends[dst].push_back((rank, tag, idx));
         }
 
         if cost.rendezvous {
@@ -1185,9 +1292,10 @@ impl<'a, 'm> Sim<'a, 'm> {
                 "rank {rank} receives from nonexistent rank {src}"
             )));
         }
-        let key = (src, rank, tag);
-        match pop_match(&mut self.pending_sends, key) {
-            Some(t) => {
+        let queue = &mut self.pending_sends[rank];
+        match queue.iter().position(|&(s, t, _)| s == src && t == tag) {
+            Some(i) => {
+                let (_, _, t) = queue.remove(i).expect("position is in the queue");
                 let begin =
                     (self.transfers[t].send_post + self.transfers[t].cost.setup).max(self.now);
                 self.transfers[t].state = TransferState::Starting { at: begin };
@@ -1200,7 +1308,11 @@ impl<'a, 'm> Sim<'a, 'm> {
                 }
             }
             None => {
-                self.pending_recvs.entry(key).or_default().push_back(rank);
+                debug_assert!(
+                    self.posted_recvs[rank].is_none(),
+                    "a blocked rank posts one receive"
+                );
+                self.posted_recvs[rank] = Some((src, tag));
                 self.status[rank] = Status::RecvBlocked;
             }
         }
@@ -1221,20 +1333,12 @@ impl<'a, 'm> Sim<'a, 'm> {
         }
         let s_src = machine.socket_of(self.placements[src].core);
         let s_dst = machine.socket_of(self.placements[dst].core);
-        let mut route = vec![self.engine.mc_index[s_src.index()]];
-        for link in machine.topology().route(s_src, s_dst)? {
-            route.push(self.engine.link_index[link.index()]);
-        }
-        route.push(self.engine.mc_index[s_dst.index()]);
-        if let Some(probe) = self.engine.probe_index {
-            // Shared-memory copies are coherent traffic: they probe the
-            // fabric like any other memory access.
-            route.push(probe);
-        }
+        let route = self.engine.routes.transfer(s_src, s_dst);
         // A transfer asked to start over a severed link goes back to the
         // retry queue instead of erroring — the sender cannot know the
         // path is down until its failure detector fires.
-        if let Some(&dead) = route.iter().find(|&&r| self.resources.get(r).capacity <= 0.0) {
+        let resources = self.engine.route(route);
+        if let Some(&dead) = resources.iter().find(|&&r| self.resources.get(r).capacity <= 0.0) {
             if self.failed_resources[dead] {
                 if let Some(retry) = self.engine.retry.clone() {
                     return self.schedule_retry(t, &retry);
@@ -1246,7 +1350,8 @@ impl<'a, 'm> Sim<'a, 'm> {
         }
         let flow = self.add_flow(ActiveFlow {
             owner: FlowOwner::Transfer(t),
-            spec: FlowSpec::new(route, cap.min(1e12)),
+            route,
+            cap: cap.min(1e12),
             initial: bytes,
             remaining: bytes,
             rate: 0.0,
@@ -1267,26 +1372,50 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.free_transfers.push(t);
         // Receiver was blocked on this delivery.
         debug_assert_eq!(self.status[dst], Status::RecvBlocked);
-        self.status[dst] = Status::Ready;
-        if rendezvous {
-            if let Status::SendBlocked { transfer } = self.status[src] {
-                if transfer == t {
-                    self.status[src] = Status::Ready;
-                }
-            }
+        self.set_ready(dst);
+        if rendezvous && self.status[src] == (Status::SendBlocked { transfer: t }) {
+            self.set_ready(src);
         }
         Ok(())
     }
 
     fn add_flow(&mut self, flow: ActiveFlow) -> usize {
         self.rates_dirty = true;
-        self.live_flows += 1;
-        if let Some(slot) = self.flows.iter().position(Option::is_none) {
+        if let Some(Reverse(slot)) = self.free_flows.pop() {
             self.flows[slot] = Some(flow);
             slot
         } else {
             self.flows.push(Some(flow));
             self.flows.len() - 1
+        }
+    }
+
+    /// Vacates a flow slot, charging the flow for the bytes it actually
+    /// moved.
+    fn remove_flow(&mut self, slot: usize) -> Option<ActiveFlow> {
+        let flow = self.flows[slot].take()?;
+        self.free_flows.push(Reverse(slot));
+        self.rates_dirty = true;
+        self.charge(&flow);
+        Some(flow)
+    }
+
+    /// Charges `flow`'s route for the bytes it moved: `remaining` holds a
+    /// sub-epsilon residue at completion, and the same expression charges
+    /// interrupted flows correctly.
+    fn charge(&mut self, flow: &ActiveFlow) {
+        let moved = (flow.initial - flow.remaining.max(0.0)).max(0.0);
+        for &r in self.engine.route(flow.route) {
+            self.metrics.resource_bytes[r] += moved;
+        }
+    }
+
+    /// Charges every live flow for the bytes it moved so far.
+    fn charge_flow_bytes(&mut self) {
+        for slot in 0..self.flows.len() {
+            if let Some(flow) = self.flows[slot] {
+                self.charge(&flow);
+            }
         }
     }
 
@@ -1302,31 +1431,29 @@ impl<'a, 'm> Sim<'a, 'm> {
 
     fn resolve_rates(&mut self) -> Result<()> {
         self.rates_dirty = false;
-        let mut index = Vec::with_capacity(self.live_flows);
-        let mut specs = Vec::with_capacity(self.live_flows);
-        for (i, f) in self.flows.iter().enumerate() {
+        let engine = self.engine;
+        self.solver.clear();
+        self.solver_slots.clear();
+        for (slot, f) in self.flows.iter().enumerate() {
             if let Some(f) = f {
-                index.push(i);
-                specs.push(f.spec.clone());
+                self.solver_slots.push(slot);
+                self.solver.push(engine.route(f.route), f.cap);
             }
         }
-        // The traced path uses the attributed solver; both go through the
-        // same progressive-filling arithmetic, so the rates are
-        // bit-identical and tracing cannot perturb the simulation.
-        let rates = if let Some(trace) = self.trace.as_deref_mut() {
-            let (rates, attribution) = solve_maxmin_attributed(&self.resources, &specs)?;
+        // The traced path also records attribution; both run the same
+        // progressive-filling arithmetic, so the rates are bit-identical
+        // and tracing cannot perturb the simulation.
+        self.solver.solve(&self.resources, self.trace.is_some())?;
+        if let Some(trace) = self.trace.as_deref_mut() {
             trace.flow_bottleneck.clear();
             trace.flow_bottleneck.resize(self.flows.len(), Bottleneck::FlowCap);
-            for (&slot, &b) in index.iter().zip(attribution.iter()) {
+            for (&slot, &b) in self.solver_slots.iter().zip(self.solver.attribution()) {
                 trace.flow_bottleneck[slot] = b;
             }
-            rates
-        } else {
-            solve_maxmin(&self.resources, &specs)?
-        };
-        for (slot, rate) in index.into_iter().zip(rates) {
-            // `index` was collected from occupied slots above and nothing
-            // vacates `self.flows` in between, so every slot is still live.
+        }
+        for (&slot, &rate) in self.solver_slots.iter().zip(self.solver.rates()) {
+            // The slots were collected from occupied slots above and
+            // nothing vacates `self.flows` in between.
             let Some(f) = self.flows[slot].as_mut() else {
                 debug_assert!(false, "rate solved for a vacated flow slot");
                 continue;
@@ -1392,23 +1519,13 @@ impl<'a, 'm> Sim<'a, 'm> {
             if !done {
                 continue;
             }
-            let Some(flow) = self.flows[slot].take() else { continue };
-            self.live_flows -= 1;
-            self.rates_dirty = true;
-            // Charge what the flow actually moved, not its nominal size —
-            // `remaining` holds a sub-epsilon residue at completion, and
-            // the same expression charges interrupted flows correctly on
-            // error exits (see `Sim::run`).
-            let moved = (flow.initial - flow.remaining.max(0.0)).max(0.0);
-            for &r in &flow.spec.route {
-                self.metrics.resource_bytes[r] += moved;
-            }
+            let Some(flow) = self.remove_flow(slot) else { continue };
             match flow.owner {
                 FlowOwner::Phase(rank) => {
                     if let Status::Computing { cpu_end, pending_flows } = self.status[rank] {
                         let pending = pending_flows - 1;
                         if pending == 0 && cpu_end <= self.now + EPS_TIME {
-                            self.status[rank] = Status::Ready;
+                            self.set_ready(rank);
                         } else {
                             self.status[rank] =
                                 Status::Computing { cpu_end, pending_flows: pending };
@@ -1437,10 +1554,10 @@ impl<'a, 'm> Sim<'a, 'm> {
                 Status::Computing { cpu_end, pending_flows }
                     if pending_flows == 0 && cpu_end <= self.now + EPS_TIME =>
                 {
-                    self.status[rank] = Status::Ready;
+                    self.set_ready(rank);
                 }
                 Status::Waiting { until } if until <= self.now + EPS_TIME => {
-                    self.status[rank] = Status::Ready;
+                    self.set_ready(rank);
                 }
                 _ => {}
             }
@@ -1497,7 +1614,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             };
             let mut avg_latency = 0.0;
             for (node, frac) in layout.shares() {
-                avg_latency += frac * machine.memory_latency(core, node);
+                avg_latency += frac * self.engine.memory_latency(core, node);
             }
             // Checkpoint state streams out like a STREAM copy: mostly
             // cache misses, so nearly all of it hits DRAM.
@@ -1509,21 +1626,15 @@ impl<'a, 'm> Sim<'a, 'm> {
                 if bytes <= EPS_BYTES {
                     continue;
                 }
-                let mut route = vec![self.engine.mc_index[node.index()]];
-                let dst_socket = machine.socket_of_node(node);
-                for link in machine.topology().route(src_socket, dst_socket)? {
-                    route.push(self.engine.link_index[link.index()]);
-                }
-                if let Some(probe) = self.engine.probe_index {
-                    route.push(probe);
-                }
-                if route.iter().any(|&r| self.resources.get(r).capacity <= 0.0) {
+                let route = self.engine.routes.memory(src_socket, node);
+                if self.engine.route(route).iter().any(|&r| self.resources.get(r).capacity <= 0.0) {
                     self.next_ckpt_at = Some(self.now + policy.interval);
                     return Ok(());
                 }
                 new_flows.push(ActiveFlow {
                     owner: FlowOwner::Checkpoint(rank),
-                    spec: FlowSpec::new(route, demand.self_cap * frac),
+                    route,
+                    cap: demand.self_cap * frac,
                     initial: bytes,
                     remaining: bytes,
                     rate: 0.0,
@@ -1559,13 +1670,8 @@ impl<'a, 'm> Sim<'a, 'm> {
     /// Charges every live flow for the bytes it moved so far and rebases
     /// it, so the same bytes are never charged twice.
     fn settle_flow_bytes(&mut self) {
+        self.charge_flow_bytes();
         for f in self.flows.iter_mut().flatten() {
-            let moved = (f.initial - f.remaining.max(0.0)).max(0.0);
-            if moved > 0.0 {
-                for &r in &f.spec.route {
-                    self.metrics.resource_bytes[r] += moved;
-                }
-            }
             f.initial = f.remaining.max(0.0);
             f.remaining = f.initial;
         }
@@ -1579,12 +1685,12 @@ impl<'a, 'm> Sim<'a, 'm> {
             status: self.status.clone(),
             finish: self.finish.clone(),
             flows: self.flows.clone(),
-            live_flows: self.live_flows,
+            free_flows: self.free_flows.clone(),
             transfers: self.transfers.clone(),
             free_transfers: self.free_transfers.clone(),
             starting_transfers: self.starting_transfers.clone(),
             pending_sends: self.pending_sends.clone(),
-            pending_recvs: self.pending_recvs.clone(),
+            posted_recvs: self.posted_recvs.clone(),
             barrier_arrived: self.barrier_arrived,
         }));
     }
@@ -1601,12 +1707,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         let interval = policy.interval;
         // In-flight traffic died with the job, but the bytes it moved were
         // physically moved: settle them before discarding the flows.
-        for f in self.flows.iter().flatten() {
-            let moved = (f.initial - f.remaining.max(0.0)).max(0.0);
-            for &r in &f.spec.route {
-                self.metrics.resource_bytes[r] += moved;
-            }
-        }
+        self.charge_flow_bytes();
         // The ops in flight at the kill are lost work: close their spans.
         for r in 0..self.programs.len() {
             self.trace_close_span(r);
@@ -1617,14 +1718,15 @@ impl<'a, 'm> Sim<'a, 'm> {
         let delta = resumed_at - restored_to;
         self.frames = snap.frames;
         self.status = snap.status;
+        self.running = self.status.iter().filter(|&&s| s != Status::Done).count();
         self.finish = snap.finish;
         self.flows = snap.flows;
-        self.live_flows = snap.live_flows;
+        self.free_flows = snap.free_flows;
         self.transfers = snap.transfers;
         self.free_transfers = snap.free_transfers;
         self.starting_transfers = snap.starting_transfers;
         self.pending_sends = snap.pending_sends;
-        self.pending_recvs = snap.pending_recvs;
+        self.posted_recvs = snap.posted_recvs;
         self.barrier_arrived = snap.barrier_arrived;
         // Shift every absolute-time field into the replay timeline; the
         // uniform shift preserves every relative deadline, including ones
@@ -1677,22 +1779,17 @@ impl<'a, 'm> Sim<'a, 'm> {
         for slot in 0..self.flows.len() {
             let is_lost = match &self.flows[slot] {
                 Some(f) => {
-                    matches!(f.owner, FlowOwner::Transfer(_)) && f.spec.route.contains(&index)
+                    matches!(f.owner, FlowOwner::Transfer(_))
+                        && self.engine.route(f.route).contains(&index)
                 }
                 None => false,
             };
             if !is_lost {
                 continue;
             }
-            let Some(flow) = self.flows[slot].take() else { continue };
-            self.live_flows -= 1;
-            self.rates_dirty = true;
             // Bytes that crossed before the cut really moved; the
             // retransmit resends the full payload on top of them.
-            let moved = (flow.initial - flow.remaining.max(0.0)).max(0.0);
-            for &r in &flow.spec.route {
-                self.metrics.resource_bytes[r] += moved;
-            }
+            let Some(flow) = self.remove_flow(slot) else { continue };
             let FlowOwner::Transfer(t) = flow.owner else { continue };
             self.schedule_retry(t, &retry)?;
         }
@@ -2394,6 +2491,38 @@ mod tests {
     }
 
     #[test]
+    fn interned_resource_routes_match_the_topology() {
+        let mut tiered = systems::dmz();
+        tiered.memory_only_nodes = 1;
+        let mut slow_rung = systems::longs();
+        slow_rung.edge_links = vec![(0, crate::LinkSpec { bandwidth: 1e9, hop_latency: 550e-9 })];
+        for spec in [systems::tiger(), systems::longs(), tiered, slow_rung] {
+            let m = Machine::new(spec);
+            let engine = Engine::new(&m);
+            let links = |src: SocketId, dst: SocketId| -> Vec<ResourceIndex> {
+                let route = m.topology().route(src, dst).unwrap();
+                route.iter().map(|l| engine.link_index[l.index()]).collect()
+            };
+            let mc = |s: SocketId| engine.mc_index[s.index()];
+            for src in m.sockets() {
+                for node in m.nodes() {
+                    let mut want = vec![engine.mc_index[node.index()]];
+                    want.extend(links(src, m.socket_of_node(node)));
+                    want.extend(engine.probe_index);
+                    assert_eq!(engine.route(engine.routes.memory(src, node)), want);
+                }
+                for dst in m.sockets() {
+                    let mut want = vec![mc(src)];
+                    want.extend(links(src, dst));
+                    want.push(mc(dst));
+                    want.extend(engine.probe_index);
+                    assert_eq!(engine.route(engine.routes.transfer(src, dst)), want);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn recycled_transfer_slots_leave_a_pending_retransmit_intact() {
         let m = Machine::new(systems::dmz());
         let engine = Engine::new(&m).with_retry(RetryPolicy::new(5e-3).with_backoff(5e-3));
@@ -2428,7 +2557,8 @@ mod tests {
         assert!(sim.finish[2] < 0.08 && sim.finish[3] < 0.08, "{:?}", sim.finish);
         // ...through one recycled slot beside the pending retransmit's.
         assert_eq!(sim.transfers.len(), 2);
-        assert!(sim.pending_sends.is_empty() && sim.pending_recvs.is_empty());
+        assert!(sim.pending_sends.iter().all(VecDeque::is_empty));
+        assert!(sim.posted_recvs.iter().all(Option::is_none));
         // The retransmit still delivered the full payload after restore.
         assert!(sim.finish[1] > 0.15 && makespan == sim.finish[1], "{:?}", sim.finish);
         // And the loop form ran exactly as the unrolled programs do.

@@ -34,6 +34,10 @@ pub struct Resource {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceTable {
     resources: Vec<Resource>,
+    /// `resources[r].capacity` for every `r`, kept dense so the solver
+    /// reads capacities in place; `add` and `set_capacity` keep the two
+    /// in step.
+    capacities: Vec<f64>,
 }
 
 impl ResourceTable {
@@ -45,6 +49,7 @@ impl ResourceTable {
     /// Adds a resource and returns its index.
     pub fn add(&mut self, name: impl Into<String>, capacity: f64) -> ResourceIndex {
         self.resources.push(Resource { name: name.into(), capacity });
+        self.capacities.push(capacity);
         self.resources.len() - 1
     }
 
@@ -66,11 +71,12 @@ impl ResourceTable {
     /// Overrides a resource's capacity (failure injection / what-if).
     pub fn set_capacity(&mut self, index: ResourceIndex, capacity: f64) {
         self.resources[index].capacity = capacity;
+        self.capacities[index] = capacity;
     }
 
-    /// Capacities as a slice-compatible vector.
-    pub fn capacities(&self) -> Vec<f64> {
-        self.resources.iter().map(|r| r.capacity).collect()
+    /// Every resource's capacity, indexed like the table.
+    pub fn capacities(&self) -> &[f64] {
+        &self.capacities
     }
 }
 
@@ -123,7 +129,9 @@ const REL_EPS: f64 = 1e-9;
 /// Returns [`Error::InvalidSpec`] if a flow references a resource outside
 /// the table or has a non-finite cap.
 pub fn solve_maxmin(table: &ResourceTable, flows: &[FlowSpec]) -> Result<Vec<f64>> {
-    solve_inner(table, flows, None)
+    let mut scratch = Scratch::default();
+    scratch.fill(table.capacities(), flows, false)?;
+    Ok(scratch.rates)
 }
 
 /// Like [`solve_maxmin`], also reporting which limit froze each flow.
@@ -139,149 +147,278 @@ pub fn solve_maxmin_attributed(
     table: &ResourceTable,
     flows: &[FlowSpec],
 ) -> Result<(Vec<f64>, Vec<Bottleneck>)> {
-    let mut attribution = vec![Bottleneck::FlowCap; flows.len()];
-    let rates = solve_inner(table, flows, Some(&mut attribution))?;
-    Ok((rates, attribution))
+    let mut scratch = Scratch::default();
+    scratch.fill(table.capacities(), flows, true)?;
+    Ok((scratch.rates, scratch.attribution))
 }
 
-fn solve_inner(
-    table: &ResourceTable,
-    flows: &[FlowSpec],
-    mut attribution: Option<&mut Vec<Bottleneck>>,
-) -> Result<Vec<f64>> {
-    let caps = table.capacities();
-    for (i, f) in flows.iter().enumerate() {
-        if !f.cap.is_finite() || f.cap < 0.0 {
-            return Err(Error::InvalidSpec(format!("flow {i} has invalid cap {}", f.cap)));
+/// Read access to a solver input: each flow's route and cap.
+trait Flows {
+    fn len(&self) -> usize;
+    fn route(&self, flow: usize) -> &[ResourceIndex];
+    fn cap(&self, flow: usize) -> f64;
+}
+
+impl Flows for [FlowSpec] {
+    fn len(&self) -> usize {
+        <[FlowSpec]>::len(self)
+    }
+
+    fn route(&self, flow: usize) -> &[ResourceIndex] {
+        &self[flow].route
+    }
+
+    fn cap(&self, flow: usize) -> f64 {
+        self[flow].cap
+    }
+}
+
+/// Flows loaded into a [`SolverWorkspace`]: every route back to back in
+/// one buffer, so loading a flow copies a few indices and allocates
+/// nothing once the buffers have grown.
+#[derive(Debug, Clone)]
+struct LoadedFlows {
+    routes: Vec<ResourceIndex>,
+    /// Flow `i`'s route is `routes[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
+    caps: Vec<f64>,
+}
+
+impl Flows for LoadedFlows {
+    fn len(&self) -> usize {
+        self.caps.len()
+    }
+
+    fn route(&self, flow: usize) -> &[ResourceIndex] {
+        &self.routes[self.bounds[flow]..self.bounds[flow + 1]]
+    }
+
+    fn cap(&self, flow: usize) -> f64 {
+        self.caps[flow]
+    }
+}
+
+/// A max-min solver that keeps its buffers between calls.
+///
+/// The engine re-solves rates every time its flow set changes — millions
+/// of times per run, a handful of flows each — so per-call set-up, not
+/// the filling itself, dominates. The workspace is loaded with
+/// [`SolverWorkspace::push`] after a [`SolverWorkspace::clear`], solved,
+/// and read back; every buffer is cleared and refilled, never
+/// reallocated once grown. Results are bit-identical to
+/// [`solve_maxmin`] and [`solve_maxmin_attributed`] on the same flows.
+#[derive(Debug, Clone)]
+pub(crate) struct SolverWorkspace {
+    flows: LoadedFlows,
+    scratch: Scratch,
+}
+
+impl Default for SolverWorkspace {
+    fn default() -> Self {
+        Self {
+            flows: LoadedFlows { routes: Vec::new(), bounds: vec![0], caps: Vec::new() },
+            scratch: Scratch::default(),
         }
-        for &r in &f.route {
-            if r >= caps.len() {
+    }
+}
+
+impl SolverWorkspace {
+    /// Unloads every flow.
+    pub(crate) fn clear(&mut self) {
+        self.flows.routes.clear();
+        self.flows.bounds.truncate(1);
+        self.flows.caps.clear();
+    }
+
+    /// Loads one more flow; flows are solved and answered in push order.
+    pub(crate) fn push(&mut self, route: &[ResourceIndex], cap: f64) {
+        self.flows.routes.extend_from_slice(route);
+        self.flows.bounds.push(self.flows.routes.len());
+        self.flows.caps.push(cap);
+    }
+
+    /// Solves the loaded flows over `table`'s current capacities; with
+    /// `attribute`, also records what froze each flow.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`solve_maxmin`].
+    pub(crate) fn solve(&mut self, table: &ResourceTable, attribute: bool) -> Result<()> {
+        self.scratch.fill(table.capacities(), &self.flows, attribute)
+    }
+
+    /// The last solve's rates, one per loaded flow.
+    pub(crate) fn rates(&self) -> &[f64] {
+        &self.scratch.rates
+    }
+
+    /// The last attributed solve's bottlenecks, one per loaded flow.
+    pub(crate) fn attribution(&self) -> &[Bottleneck] {
+        &self.scratch.attribution
+    }
+}
+
+/// The solver's per-call state.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Capacity each resource has left; only entries of `touched`
+    /// resources are current.
+    remaining: Vec<f64>,
+    /// Unfixed flows using each resource. A flow listing the same
+    /// resource twice consumes it twice (e.g. a hairpin route), so this
+    /// counts multiplicity. All zero between calls: every flow that
+    /// counts itself in is frozen, and counted out, before `fill` returns.
+    usage: Vec<usize>,
+    /// The resources on some loaded route, in first-use order.
+    touched: Vec<ResourceIndex>,
+    /// Flows still ramping, in increasing index order.
+    unfixed: Vec<usize>,
+    rates: Vec<f64>,
+    attribution: Vec<Bottleneck>,
+}
+
+impl Scratch {
+    /// Progressive filling over `flows`, leaving one rate (and, with
+    /// `attribute`, one bottleneck) per flow. Each resource and each flow
+    /// sees the same arithmetic, in the same order, as the reference
+    /// solver in `flow/reference.rs`.
+    fn fill<F: Flows + ?Sized>(&mut self, caps: &[f64], flows: &F, attribute: bool) -> Result<()> {
+        let n = flows.len();
+        for i in 0..n {
+            let cap = flows.cap(i);
+            if !cap.is_finite() || cap < 0.0 {
+                return Err(Error::InvalidSpec(format!("flow {i} has invalid cap {cap}")));
+            }
+            if let Some(&r) = flows.route(i).iter().find(|&&r| r >= caps.len()) {
                 return Err(Error::InvalidSpec(format!(
                     "flow {i} references resource {r} outside table of {}",
                     caps.len()
                 )));
             }
         }
-    }
 
-    let n = flows.len();
-    let mut rates = vec![0.0; n];
-    if n == 0 {
-        return Ok(rates);
-    }
-
-    let mut fixed = vec![false; n];
-    let mut remaining = caps.clone();
-    // Count of unfixed flows using each resource. A flow listing the same
-    // resource twice consumes it twice (e.g. a hairpin route) — count
-    // multiplicity.
-    let mut usage = vec![0usize; caps.len()];
-    for f in flows {
-        for &r in &f.route {
-            usage[r] += 1;
+        let Self { remaining, usage, touched, unfixed, rates, attribution } = self;
+        rates.clear();
+        rates.resize(n, 0.0);
+        attribution.clear();
+        if attribute {
+            attribution.resize(n, Bottleneck::FlowCap);
         }
-    }
-
-    let mut unfixed = n;
-    // Immediately freeze exactly-zero-cap flows. Tiny-but-positive caps
-    // are real rate limits and must survive to the filling loop — an
-    // absolute epsilon here silently zero-rated a 1 B/s flow whenever a
-    // GB/s resource shared the table.
-    for (i, f) in flows.iter().enumerate() {
-        if f.cap <= 0.0 {
-            fixed[i] = true;
-            unfixed -= 1;
-            for &r in &f.route {
-                usage[r] -= 1;
+        if n == 0 {
+            return Ok(());
+        }
+        if usage.len() < caps.len() {
+            usage.resize(caps.len(), 0);
+            remaining.resize(caps.len(), 0.0);
+        }
+        // Exactly-zero-cap flows are frozen from the start and never
+        // counted in. Tiny-but-positive caps are real rate limits and
+        // must survive to the filling loop — an absolute epsilon here
+        // silently zero-rated a 1 B/s flow whenever a GB/s resource
+        // shared the table.
+        touched.clear();
+        unfixed.clear();
+        for i in 0..n {
+            if flows.cap(i) <= 0.0 {
+                continue;
+            }
+            unfixed.push(i);
+            for &r in flows.route(i) {
+                if usage[r] == 0 {
+                    touched.push(r);
+                    remaining[r] = caps[r];
+                }
+                usage[r] += 1;
             }
         }
-    }
 
-    while unfixed > 0 {
-        // Smallest headroom: either a resource's fair increment or a
-        // flow's distance to its own cap.
-        let mut inc = f64::INFINITY;
-        for (r, &rem) in remaining.iter().enumerate() {
-            if usage[r] > 0 {
-                inc = inc.min(rem.max(0.0) / usage[r] as f64);
+        while !unfixed.is_empty() {
+            // Smallest headroom: either a resource's fair increment or a
+            // flow's distance to its own cap. No candidate is NaN, so the
+            // minimum does not depend on the order resources are visited.
+            let mut inc = f64::INFINITY;
+            for &r in touched.iter() {
+                if usage[r] > 0 {
+                    inc = inc.min(remaining[r].max(0.0) / usage[r] as f64);
+                }
             }
-        }
-        for (i, f) in flows.iter().enumerate() {
-            if !fixed[i] {
-                inc = inc.min(f.cap - rates[i]);
+            for &i in unfixed.iter() {
+                inc = inc.min(flows.cap(i) - rates[i]);
             }
-        }
-        debug_assert!(inc.is_finite(), "at least one limit must apply");
-        let inc = inc.max(0.0);
+            debug_assert!(inc.is_finite(), "at least one limit must apply");
+            let inc = inc.max(0.0);
 
-        // Ramp all unfixed flows by `inc`.
-        for (i, f) in flows.iter().enumerate() {
-            if !fixed[i] {
+            // Ramp all unfixed flows by `inc`.
+            for &i in unfixed.iter() {
                 rates[i] += inc;
-                for &r in &f.route {
+                for &r in flows.route(i) {
                     remaining[r] -= inc;
                 }
             }
-        }
 
-        // Freeze flows at their cap or on a saturated resource. Slack is
-        // relative to the cap being compared against (zero-capacity
-        // resources still satisfy `0 <= 0`).
-        let mut froze_any = false;
-        for (i, f) in flows.iter().enumerate() {
-            if fixed[i] {
-                continue;
-            }
-            let at_cap = f.cap - rates[i] <= f.cap * REL_EPS;
-            // When both limits bind in the same round, attribute the
-            // freeze to a saturated shared resource — contention is the
-            // informative cause — and among saturated route resources
-            // pick the most contended one (highest unfixed-flow count).
-            let mut saturated: Option<ResourceIndex> = None;
-            for &r in &f.route {
-                if remaining[r] <= caps[r] * REL_EPS {
-                    let more_contended = saturated.is_none_or(|s| usage[r] > usage[s]);
-                    if more_contended {
+            // Freeze flows at their cap or on a saturated resource, keeping
+            // the rest in order. Slack is relative to the cap being
+            // compared against (zero-capacity resources still satisfy
+            // `0 <= 0`).
+            let before = unfixed.len();
+            let mut kept = 0;
+            for k in 0..before {
+                let i = unfixed[k];
+                let cap = flows.cap(i);
+                let route = flows.route(i);
+                let at_cap = cap - rates[i] <= cap * REL_EPS;
+                // When both limits bind in the same round, attribute the
+                // freeze to a saturated shared resource — contention is
+                // the informative cause — and among saturated route
+                // resources pick the most contended one (highest
+                // unfixed-flow count, as decremented so far this round).
+                let mut saturated: Option<ResourceIndex> = None;
+                for &r in route {
+                    if remaining[r] <= caps[r] * REL_EPS
+                        && saturated.is_none_or(|s| usage[r] > usage[s])
+                    {
                         saturated = Some(r);
                     }
                 }
-            }
-            if at_cap || saturated.is_some() {
-                fixed[i] = true;
-                unfixed -= 1;
-                froze_any = true;
-                for &r in &f.route {
-                    usage[r] -= 1;
+                if at_cap || saturated.is_some() {
+                    for &r in route {
+                        usage[r] -= 1;
+                    }
+                    if attribute {
+                        attribution[i] = match saturated {
+                            Some(r) => Bottleneck::Resource(r),
+                            None => Bottleneck::FlowCap,
+                        };
+                    }
+                } else {
+                    unfixed[kept] = i;
+                    kept += 1;
                 }
-                if let Some(attr) = attribution.as_deref_mut() {
-                    attr[i] = match saturated {
-                        Some(r) => Bottleneck::Resource(r),
-                        None => Bottleneck::FlowCap,
-                    };
-                }
             }
-        }
-        debug_assert!(froze_any, "progressive filling must freeze at least one flow");
-        if !froze_any {
-            // Defensive: avoid an infinite loop under pathological
-            // floating-point behaviour by freezing everything.
-            for (i, f) in flows.iter().enumerate() {
-                if !fixed[i] {
-                    fixed[i] = true;
-                    unfixed -= 1;
-                    for &r in &f.route {
+            unfixed.truncate(kept);
+            debug_assert!(kept < before, "progressive filling must freeze at least one flow");
+            if kept == before {
+                // Defensive: avoid an infinite loop under pathological
+                // floating-point behaviour by freezing everything.
+                for &i in unfixed.iter() {
+                    for &r in flows.route(i) {
                         usage[r] -= 1;
                     }
                 }
+                unfixed.clear();
             }
         }
+        Ok(())
     }
-    Ok(rates)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn table(caps: &[f64]) -> ResourceTable {
         let mut t = ResourceTable::new();
@@ -469,5 +606,88 @@ mod tests {
         // Bit-identical, not approximately equal: both paths run the same
         // arithmetic, so tracing can never perturb a simulation.
         assert_eq!(plain, attributed);
+    }
+
+    /// A capacity or flow cap drawn from one of the regimes the solver
+    /// must keep apart: zero (a dead resource or a zero-cap flow), tiny,
+    /// ordinary, and fast enough to dwarf the tiny ones.
+    fn regime(kind: u8, unit: f64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => 1e-3 + unit,
+            2 => 1e9 + unit * 1e11,
+            _ => 1.0 + unit * 1e3,
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The workspace solver answers every instance bit for bit like
+        /// the frozen reference, rates and attributions alike. One
+        /// workspace serves a run of instances of shrinking and growing
+        /// size, so a buffer left stale by a bigger call would show.
+        #[test]
+        fn workspace_matches_the_reference_bit_for_bit(
+            instances in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u8..4, 0.0f64..1.0), 1..9),
+                    proptest::collection::vec(
+                        (proptest::collection::vec(0usize..9, 0..5), 0u8..4, 0.0f64..1.0, 0u8..8),
+                        0..14,
+                    ),
+                ),
+                1..7,
+            ),
+        ) {
+            let mut workspace = SolverWorkspace::default();
+            for (resources, flows) in &instances {
+                let table = table(
+                    &resources.iter().map(|&(kind, unit)| regime(kind, unit)).collect::<Vec<_>>(),
+                );
+                let specs: Vec<FlowSpec> = flows
+                    .iter()
+                    .map(|(route, kind, unit, shape)| {
+                        let mut route: Vec<usize> =
+                            route.iter().map(|&r| r % table.len()).collect();
+                        match shape {
+                            // A hairpin: the first resource listed twice.
+                            0 => route.extend(route.first().copied()),
+                            // Out of the table: both solvers must refuse.
+                            1 if flows.len() > 10 => route.push(table.len()),
+                            _ => {}
+                        }
+                        FlowSpec::new(route, regime(*kind, *unit))
+                    })
+                    .collect();
+
+                let mut want_attribution = vec![Bottleneck::FlowCap; specs.len()];
+                let want = reference::solve_inner(&table, &specs, Some(&mut want_attribution));
+                workspace.clear();
+                for spec in &specs {
+                    workspace.push(&spec.route, spec.cap);
+                }
+                let got = workspace.solve(&table, true);
+                prop_assert_eq!(got.is_ok(), want.is_ok(), "{:?} vs {:?}", got, want);
+                let Ok(want) = want else { continue };
+                prop_assert_eq!(bits(workspace.rates()), bits(&want));
+                prop_assert_eq!(workspace.attribution(), &want_attribution[..]);
+
+                workspace.solve(&table, false).expect("same instance");
+                prop_assert_eq!(bits(workspace.rates()), bits(&want));
+                prop_assert_eq!(
+                    bits(&solve_maxmin(&table, &specs).expect("same instance")),
+                    bits(&want)
+                );
+                let (rates, attribution) =
+                    solve_maxmin_attributed(&table, &specs).expect("same instance");
+                prop_assert_eq!(bits(&rates), bits(&want));
+                prop_assert_eq!(attribution, want_attribution);
+            }
+        }
     }
 }

@@ -208,7 +208,7 @@ impl Machine {
         }
         let mut latency = spec.memory_of(dst.index()).idle_latency;
         if let Ok(route) = self.topology.route(src, dst) {
-            for link in route {
+            for &link in route {
                 latency += spec.link_of(self.topology.edge_of(link)).hop_latency;
             }
         }

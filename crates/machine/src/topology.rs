@@ -30,6 +30,11 @@ pub struct Topology {
     /// `hops[src][dst]` = route length in links.
     hops: Vec<Vec<usize>>,
     diameter: usize,
+    /// Every route's links back to back; the route from `src` to `dst`
+    /// is `route_links[route_bounds[i]..route_bounds[i + 1]]` with
+    /// `i = src * sockets + dst`.
+    route_links: Vec<LinkId>,
+    route_bounds: Vec<usize>,
 }
 
 impl Topology {
@@ -87,7 +92,25 @@ impl Topology {
             }
         }
         let diameter = hops.iter().flat_map(|row| row.iter().copied()).max().unwrap_or(0);
-        Ok(Self { sockets: n, links, link_index, edge_of, next_hop, hops, diameter })
+        let mut topo = Self {
+            sockets: n,
+            links,
+            link_index,
+            edge_of,
+            next_hop,
+            hops,
+            diameter,
+            route_links: Vec::new(),
+            route_bounds: vec![0],
+        };
+        for src in 0..n {
+            for dst in 0..n {
+                let route = topo.walk_route(SocketId::new(src), SocketId::new(dst))?;
+                topo.route_links.extend(route);
+                topo.route_bounds.push(topo.route_links.len());
+            }
+        }
+        Ok(topo)
     }
 
     /// Number of sockets in the graph.
@@ -123,15 +146,31 @@ impl Topology {
     }
 
     /// The directed links along the deterministic shortest route from
-    /// `src` to `dst` (empty when they are the same socket).
+    /// `src` to `dst` (empty when they are the same socket). Routes are
+    /// walked once, at construction, and served from a table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Disconnected`] when `src` or `dst` is not a
+    /// socket of this topology.
+    pub fn route(&self, src: SocketId, dst: SocketId) -> Result<&[LinkId]> {
+        let (s, d) = (src.index(), dst.index());
+        if s >= self.sockets || d >= self.sockets {
+            return Err(Error::Disconnected { src: s, dst: d });
+        }
+        let i = s * self.sockets + d;
+        Ok(&self.route_links[self.route_bounds[i]..self.route_bounds[i + 1]])
+    }
+
+    /// Walks the next-hop table from `src` to `dst`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Disconnected`] if the routing tables have no path
-    /// — unreachable for topologies built by [`Topology::from_spec`],
-    /// which rejects disconnected graphs, but kept typed so malformed
-    /// state degrades into an error instead of a panic.
-    pub fn route(&self, src: SocketId, dst: SocketId) -> Result<Vec<LinkId>> {
+    /// — unreachable after the connectivity check in
+    /// [`Topology::from_spec`], but kept typed so malformed state
+    /// degrades into an error instead of a panic.
+    fn walk_route(&self, src: SocketId, dst: SocketId) -> Result<Vec<LinkId>> {
         let missing = || Error::Disconnected { src: src.index(), dst: dst.index() };
         let mut route = Vec::with_capacity(self.hops(src, dst));
         let mut cur = src;
@@ -193,7 +232,7 @@ mod tests {
                 assert_eq!(route.len(), t.hops(SocketId::new(s), SocketId::new(d)));
                 // Route must be contiguous.
                 let mut cur = SocketId::new(s);
-                for l in &route {
+                for l in route {
                     let (from, to) = t.link_endpoints(*l);
                     assert_eq!(from, cur);
                     cur = to;

@@ -349,6 +349,10 @@ impl Server {
         });
         let batch_ms = started.elapsed().as_secs_f64() * 1e3;
 
+        // The whole chunk goes out in one write: a write per line (or
+        // per line and newline) lets Nagle's algorithm hold the tail back
+        // until the client's delayed ACK, stalling every reply.
+        let mut response = String::new();
         for slot in slots {
             let line = match slot {
                 Slot::Ready(line) => line,
@@ -385,9 +389,11 @@ impl Server {
                     }
                 }
             };
-            writeln!(out, "{line}")?;
+            response.push_str(&line);
+            response.push('\n');
             self.counters.responses.fetch_add(1, Ordering::Relaxed);
         }
+        out.write_all(response.as_bytes())?;
         out.flush()?;
         self.release(peer, admitted);
         if admitted > 0 {
@@ -449,6 +455,9 @@ impl Server {
         // The read timeout is the drain latency bound: a idle or
         // slow-loris connection notices shutdown within ~100ms.
         stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+        // Replies are written whole, one write per chunk; send each at
+        // once instead of holding it for the previous one's ACK.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         let mut writer = stream;
         self.serve_io(reader, &mut writer, peer)
@@ -661,6 +670,42 @@ mod tests {
     }
 
     const BSP: &str = r#"{"system":"dmz","nranks":2,"workload":{"kind":"bsp","steps":2,"flops_per_step":1e6,"bytes_per_step":1e6,"sync_bytes":8}}"#;
+
+    /// A writer that counts the `write` calls reaching it.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_chunk_goes_out_in_one_write() {
+        let server = server(ServeConfig::default());
+        let input = format!("{BSP}\nnot json\n{BSP}\n");
+        let mut out = CountingWriter { bytes: Vec::new(), writes: 0 };
+        server.serve_io(Cursor::new(input.into_bytes()), &mut out, "test").unwrap();
+        assert_eq!(out.writes, 1);
+        // The framing a write per line gave: three newline-terminated
+        // lines, in request order.
+        let text = String::from_utf8(out.bytes).unwrap();
+        let lines: Vec<&str> = text.split_terminator('\n').collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(text.ends_with('\n'));
+        assert!(lines[0].starts_with("{\"ok\":true,\"digest\":"));
+        assert!(lines[1].starts_with("{\"ok\":false,\"error\":"), "{}", lines[1]);
+        assert!(lines[2].starts_with("{\"ok\":true,\"digest\":"));
+    }
 
     #[test]
     fn one_response_per_request_in_order() {
