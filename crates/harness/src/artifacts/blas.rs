@@ -2,13 +2,13 @@
 //! DMZ system).
 
 use crate::context::{default_stack, Systems};
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_kernels::blas::{
     append_daxpy_star, append_dgemm_star, BlasVariant, DaxpyParams, DgemmParams,
 };
 use corescope_machine::{Machine, Result};
+use corescope_sched::Fidelity;
 use corescope_smpi::CommWorld;
 
 #[derive(Debug, Clone, Copy)]

@@ -10,7 +10,6 @@
 //! cause does not match the paper's narrative.
 
 use crate::context::{default_stack, lam_profile, Systems};
-use crate::fidelity::Fidelity;
 use crate::observe::scatter_local;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
@@ -18,6 +17,7 @@ use corescope_kernels::cg::{CgClass, NasCg};
 use corescope_kernels::stream::{append_star, StreamParams};
 use corescope_machine::trace::AttributedTime;
 use corescope_machine::{Error, FaultPlan, Machine, Result, RunTrace, TraceConfig};
+use corescope_sched::Fidelity;
 use corescope_smpi::{CommWorld, LockLayer};
 
 /// What the paper says should top the ranking for a workload.

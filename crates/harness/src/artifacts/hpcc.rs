@@ -8,7 +8,6 @@
 //! helpers that need raw placements, so they stay direct engine calls.
 
 use crate::context::{lam_profile, Systems};
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use crate::runtime::RuntimeOption;
 use corescope_kernels::blas::{BlasVariant, DgemmParams};
@@ -18,7 +17,7 @@ use corescope_kernels::hpl::HplParams;
 use corescope_kernels::ptrans::PtransParams;
 use corescope_kernels::randomaccess::RaParams;
 use corescope_machine::Result;
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, Scheduler, System, Workload};
 use corescope_smpi::imb::pingpong_bandwidth;
 use corescope_smpi::imb::pingpong_time;
 use corescope_smpi::MpiImpl;

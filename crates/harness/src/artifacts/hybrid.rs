@@ -7,12 +7,12 @@
 //! simulated Longs system, for NAS CG and FT at 16 cores.
 
 use crate::context::default_stack;
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_kernels::cg::{CgClass, NasCg};
 use corescope_kernels::nasft::{FtClass, NasFt};
 use corescope_machine::{systems, Machine, Result};
+use corescope_sched::Fidelity;
 use corescope_smpi::CommWorld;
 
 /// Compares pure MPI (16 ranks) against hybrid (8 processes × 2 threads)

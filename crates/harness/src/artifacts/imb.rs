@@ -2,11 +2,11 @@
 //! Exchange on DMZ, across implementations and binding configurations).
 
 use crate::context::Systems;
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::{policy, Scheme};
 use corescope_machine::engine::RankPlacement;
 use corescope_machine::{CoreId, Machine, Result};
+use corescope_sched::Fidelity;
 use corescope_smpi::imb::{exchange_time, imb_message_sizes, pingpong_time};
 use corescope_smpi::{LockLayer, MpiImpl, MpiProfile};
 

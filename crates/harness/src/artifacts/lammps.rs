@@ -3,11 +3,11 @@
 
 use crate::aggregate::pivot_table;
 use crate::context::{default_stack, scheme_sweep, Systems};
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_affinity::Scheme;
 use corescope_apps::md::LammpsBenchmark;
 use corescope_machine::{Machine, Result};
+use corescope_sched::Fidelity;
 use corescope_smpi::CommWorld;
 
 fn time(machine: &Machine, bench: LammpsBenchmark, n: usize) -> Result<f64> {

@@ -17,10 +17,9 @@ pub mod stream;
 pub mod topo;
 pub mod xs;
 
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_machine::{Error, Result};
-use corescope_sched::{Scheduler, System};
+use corescope_sched::{Fidelity, Scheduler, System};
 use std::fmt;
 
 /// A request named an artifact id that does not exist. Carries the

@@ -3,12 +3,12 @@
 
 use crate::aggregate::pivot_table;
 use crate::context::{default_stack, scheme_sweep, Systems};
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_affinity::Scheme;
 use corescope_kernels::cg::{CgClass, NasCg};
 use corescope_kernels::nasft::{FtClass, NasFt};
 use corescope_machine::{Machine, Result};
+use corescope_sched::Fidelity;
 use corescope_smpi::CommWorld;
 
 fn cg_class(fidelity: Fidelity) -> CgClass {

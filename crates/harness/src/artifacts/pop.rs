@@ -3,11 +3,11 @@
 
 use crate::aggregate::pivot_table;
 use crate::context::{default_stack, scheme_sweep, Systems};
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_affinity::Scheme;
 use corescope_apps::ocean::PopModel;
 use corescope_machine::{Error, Machine, Result};
+use corescope_sched::Fidelity;
 use corescope_smpi::CommWorld;
 
 fn model(fidelity: Fidelity) -> PopModel {

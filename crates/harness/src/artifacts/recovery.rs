@@ -31,14 +31,13 @@
 //! [`FaultKind::RankKill`]: corescope_machine::FaultKind::RankKill
 
 use crate::context::{default_stack, Systems};
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_machine::{
     young_daly_interval, CheckpointPolicy, CheckpointTarget, ComputePhase, Error, FaultPlan,
     Machine, NumaNodeId, RankId, Result, RunTrace, TraceConfig, TrafficProfile,
 };
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, Scheduler, System, Workload};
 use corescope_smpi::CommWorld;
 
 /// Bounded-recovery guarantee: with kills at MTBF spacing and the best

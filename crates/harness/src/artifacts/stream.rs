@@ -9,12 +9,11 @@
 //! byte-identical to the old hand-assembled tables at any job count.
 
 use crate::aggregate::pivot_table;
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use crate::runtime::RuntimeOption;
 use corescope_kernels::stream::StreamParams;
 use corescope_machine::Result;
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, Scheduler, System, Workload};
 
 fn params(fidelity: Fidelity) -> StreamParams {
     StreamParams { sweeps: fidelity.steps(10).max(2), ..StreamParams::default() }

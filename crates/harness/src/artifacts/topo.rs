@@ -29,11 +29,10 @@
 //! the machine generations unchanged".
 
 use crate::aggregate::pivot_table;
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_machine::{Error, Result};
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, Scheduler, System, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 

@@ -33,12 +33,11 @@
 //! itself where the two placements tie.
 
 use crate::aggregate::pivot_table;
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_apps::xs::first_touch_crossover_bytes;
 use corescope_machine::{CoreId, Error, Result};
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, Scheduler, System, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 

@@ -12,7 +12,6 @@
 
 use crate::artifacts::Artifact;
 use crate::context::{default_stack, lam_profile, Systems};
-use crate::fidelity::Fidelity;
 use corescope_affinity::{os_scatter, policy, Scheme};
 use corescope_kernels::cg::{CgClass, NasCg};
 use corescope_kernels::stream::{append_star, StreamParams};
@@ -20,6 +19,7 @@ use corescope_machine::engine::{Observed, RankPlacement};
 use corescope_machine::{
     CheckpointPolicy, Error, FaultPlan, Machine, RankId, Result, RunTrace, TraceConfig,
 };
+use corescope_sched::Fidelity;
 use corescope_smpi::{CommWorld, LockLayer};
 use std::fmt::Write as _;
 

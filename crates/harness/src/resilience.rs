@@ -20,13 +20,13 @@
 //! than hang or complete. Any violation fails the artifact run.
 
 use crate::context::{default_stack, Systems};
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_kernels::cg::{CgClass, NasCg};
 use corescope_kernels::stream::{append_star, StreamParams};
 use corescope_machine::engine::RunReport;
 use corescope_machine::{Error, FaultPlan, LinkId, Machine, RankId, Result, RunTrace, TraceConfig};
+use corescope_sched::Fidelity;
 use corescope_smpi::CommWorld;
 
 /// The resource class a campaign degrades — chosen per workload to match

@@ -16,12 +16,15 @@
 //! The per-event path allocates nothing once its buffers have grown:
 //! routes and memory latencies are interned per engine, rates are solved
 //! in a reusable [`SolverWorkspace`], and matching walks short
-//! per-receiver lists instead of hashing `(src, dst, tag)` keys.
+//! per-receiver lists instead of hashing `(src, dst, tag)` keys. A
+//! [`RateMemo`] remembers each run's solutions by flow set, so a
+//! steady-state loop solves each of its flow sets once, however many
+//! iterations it runs.
 
 use crate::cache;
 use crate::error::{Error, Result};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::flow::{Bottleneck, ResourceIndex, ResourceTable, SolverWorkspace};
+use crate::flow::{Bottleneck, RateMemo, ResourceIndex, ResourceTable, SolverWorkspace};
 use crate::ids::{CoreId, LinkId, NumaNodeId, RankId, SocketId};
 use crate::memory::MemoryLayout;
 use crate::program::{ComputePhase, MessageCost, Op, Program};
@@ -707,7 +710,11 @@ struct Sim<'a, 'm> {
     metrics: RunMetrics,
     rates_dirty: bool,
     solver: SolverWorkspace,
-    /// The flow slot behind each flow loaded into `solver`.
+    /// Solutions by flow set under the current capacities; cleared when a
+    /// fault changes one. Not part of a [`SimSnapshot`]: a rollback leaves
+    /// capacities alone, so what the memo holds stays valid across it.
+    memo: RateMemo,
+    /// The flow slot behind each flow in the solved flow set.
     solver_slots: Vec<usize>,
     /// Lowest rank made Ready since `dispatch_all` last looked.
     ready_low: usize,
@@ -759,6 +766,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             metrics: RunMetrics::new(n, engine.resources.len()),
             rates_dirty: false,
             solver: SolverWorkspace::default(),
+            memo: RateMemo::default(),
             solver_slots: Vec::new(),
             ready_low: 0,
             trace: trace.is_on().then(|| {
@@ -999,6 +1007,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                         // route over it again.
                         self.failed_resources[index] = false;
                     }
+                    self.memo.clear();
                     self.rates_dirty = true;
                 }
                 ResolvedFault::Stall(rank) => self.stalled[rank] = true,
@@ -1021,6 +1030,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                 ResolvedFault::FailLink { index } => {
                     self.resources.set_capacity(index, 0.0);
                     self.failed_resources[index] = true;
+                    self.memo.clear();
                     self.rates_dirty = true;
                     self.detect_lost_transfers(index)?;
                 }
@@ -1432,26 +1442,39 @@ impl<'a, 'm> Sim<'a, 'm> {
     fn resolve_rates(&mut self) -> Result<()> {
         self.rates_dirty = false;
         let engine = self.engine;
-        self.solver.clear();
+        self.memo.begin();
         self.solver_slots.clear();
         for (slot, f) in self.flows.iter().enumerate() {
             if let Some(f) = f {
                 self.solver_slots.push(slot);
-                self.solver.push(engine.route(f.route), f.cap);
+                // Interned routes are disjoint, non-empty ranges, so a
+                // route's start identifies it.
+                self.memo.push(f.route.start, f.cap);
             }
         }
-        // The traced path also records attribution; both run the same
-        // progressive-filling arithmetic, so the rates are bit-identical
-        // and tracing cannot perturb the simulation.
-        self.solver.solve(&self.resources, self.trace.is_some())?;
+        let (flows, slots) = (&self.flows, &self.solver_slots);
+        // Traced and untraced runs take the same path, attribution
+        // included, so tracing cannot perturb the simulation or its
+        // counters.
+        let solution = self.memo.solve(&mut self.solver, &self.resources, |solver| {
+            solver.clear();
+            for f in slots.iter().filter_map(|&slot| flows[slot].as_ref()) {
+                solver.push(engine.route(f.route), f.cap);
+            }
+        })?;
+        if solution.reused {
+            self.metrics.rate_reuses += 1;
+        } else {
+            self.metrics.rate_solves += 1;
+        }
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.flow_bottleneck.clear();
             trace.flow_bottleneck.resize(self.flows.len(), Bottleneck::FlowCap);
-            for (&slot, &b) in self.solver_slots.iter().zip(self.solver.attribution()) {
+            for (&slot, &b) in self.solver_slots.iter().zip(solution.attribution) {
                 trace.flow_bottleneck[slot] = b;
             }
         }
-        for (&slot, &rate) in self.solver_slots.iter().zip(self.solver.rates()) {
+        for (&slot, &rate) in self.solver_slots.iter().zip(solution.rates) {
             // The slots were collected from occupied slots above and
             // nothing vacates `self.flows` in between.
             let Some(f) = self.flows[slot].as_mut() else {

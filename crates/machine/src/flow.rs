@@ -200,13 +200,13 @@ impl Flows for LoadedFlows {
 
 /// A max-min solver that keeps its buffers between calls.
 ///
-/// The engine re-solves rates every time its flow set changes — millions
-/// of times per run, a handful of flows each — so per-call set-up, not
-/// the filling itself, dominates. The workspace is loaded with
-/// [`SolverWorkspace::push`] after a [`SolverWorkspace::clear`], solved,
-/// and read back; every buffer is cleared and refilled, never
-/// reallocated once grown. Results are bit-identical to
-/// [`solve_maxmin`] and [`solve_maxmin_attributed`] on the same flows.
+/// The engine solves rates on a [`RateMemo`] miss: a flow set it has not
+/// seen since the run started or the memo was last cleared, a handful of
+/// flows each, so per-call set-up, not the filling itself, dominates. The
+/// workspace is loaded with [`SolverWorkspace::push`] after a
+/// [`SolverWorkspace::clear`], solved, and read back; every buffer is
+/// cleared and refilled, never reallocated once grown. Results are
+/// bit-identical to [`solve_maxmin_attributed`] on the same flows.
 #[derive(Debug, Clone)]
 pub(crate) struct SolverWorkspace {
     flows: LoadedFlows,
@@ -237,14 +237,14 @@ impl SolverWorkspace {
         self.flows.caps.push(cap);
     }
 
-    /// Solves the loaded flows over `table`'s current capacities; with
-    /// `attribute`, also records what froze each flow.
+    /// Solves the loaded flows over `table`'s current capacities,
+    /// recording what froze each flow.
     ///
     /// # Errors
     ///
     /// Same as [`solve_maxmin`].
-    pub(crate) fn solve(&mut self, table: &ResourceTable, attribute: bool) -> Result<()> {
-        self.scratch.fill(table.capacities(), &self.flows, attribute)
+    pub(crate) fn solve(&mut self, table: &ResourceTable) -> Result<()> {
+        self.scratch.fill(table.capacities(), &self.flows, true)
     }
 
     /// The last solve's rates, one per loaded flow.
@@ -252,9 +252,202 @@ impl SolverWorkspace {
         &self.scratch.rates
     }
 
-    /// The last attributed solve's bottlenecks, one per loaded flow.
+    /// The last solve's bottlenecks, one per loaded flow.
     pub(crate) fn attribution(&self) -> &[Bottleneck] {
         &self.scratch.attribution
+    }
+}
+
+/// Most flow sets a [`RateMemo`] holds; the next new one clears it.
+const MEMO_ENTRIES: usize = 4096;
+/// Most flows, summed over its flow sets, a [`RateMemo`] holds before
+/// the next new set clears it: bounds the memo's memory on machines
+/// whose flow sets are large.
+const MEMO_FLOWS: usize = 1 << 16;
+/// Open-addressing slots: a power of two, twice [`MEMO_ENTRIES`], so the
+/// table is at most half full and a probe always ends at a vacant slot.
+const MEMO_SLOTS: usize = 2 * MEMO_ENTRIES;
+/// Multiplier of the memo's key hash (the 64-bit golden ratio).
+const MEMO_HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Max-min solutions remembered by flow set, so a run that repeats a
+/// flow set — every iteration of a steady-state loop does — solves it
+/// once.
+///
+/// The key is the ordered sequence of flows, each as (route id, cap
+/// bits), where callers give equal ids only to equal routes. The solver
+/// is a pure function of that sequence and the capacity table, so a hit
+/// is bit-identical to a fresh solve as long as the capacities have not
+/// changed: callers [`RateMemo::clear`] it whenever one does. Keys are
+/// compared exactly; the hash only picks where to look.
+///
+/// A key is built with [`RateMemo::push`] after [`RateMemo::begin`] and
+/// answered by [`RateMemo::solve`]. The memo is bounded by
+/// [`MEMO_ENTRIES`] and [`MEMO_FLOWS`] and starts over when full.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RateMemo {
+    /// The flow set being looked up: route id then cap bits per flow.
+    key: Vec<u64>,
+    /// Hash of `key`.
+    hash: u64,
+    /// Entry index + 1 per slot, 0 when vacant; empty until the first
+    /// insert, so a run that never solves allocates no table.
+    slots: Vec<u32>,
+    entries: Vec<MemoEntry>,
+    /// Keys of every entry back to back, two words per flow.
+    keys: Vec<u64>,
+    /// Solutions of every entry back to back, one per flow.
+    rates: Vec<f64>,
+    attribution: Vec<Bottleneck>,
+}
+
+/// A remembered flow set: its key is `keys[2 * start..2 * (start +
+/// flows)]`, its solution `rates[start..start + flows]` and the same
+/// range of `attribution`.
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    hash: u64,
+    start: usize,
+    flows: usize,
+}
+
+/// Rates and bottlenecks for the flow set a [`RateMemo`] was asked about,
+/// in push order.
+#[derive(Debug)]
+pub(crate) struct Solution<'a> {
+    pub(crate) rates: &'a [f64],
+    pub(crate) attribution: &'a [Bottleneck],
+    /// Whether the solution was remembered rather than solved.
+    pub(crate) reused: bool,
+}
+
+impl RateMemo {
+    /// Forgets every remembered solution: the capacities they were solved
+    /// under changed.
+    pub(crate) fn clear(&mut self) {
+        if !self.entries.is_empty() {
+            self.slots.fill(0);
+        }
+        self.entries.clear();
+        self.keys.clear();
+        self.rates.clear();
+        self.attribution.clear();
+    }
+
+    /// Starts a new key.
+    pub(crate) fn begin(&mut self) {
+        self.key.clear();
+        self.hash = 0;
+    }
+
+    /// Appends a flow over the route with id `route` and cap `cap` to the
+    /// key.
+    pub(crate) fn push(&mut self, route: usize, cap: f64) {
+        for word in [route as u64, cap.to_bits()] {
+            self.key.push(word);
+            self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(MEMO_HASH_MUL);
+        }
+    }
+
+    /// Answers the key's flow set over `table`: from memory when it was
+    /// solved before, else by loading `workspace` with `load` (which must
+    /// push the same flows, in the same order) and solving. In debug
+    /// builds every remembered answer is checked against a fresh solve.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`solve_maxmin`].
+    pub(crate) fn solve(
+        &mut self,
+        workspace: &mut SolverWorkspace,
+        table: &ResourceTable,
+        load: impl FnOnce(&mut SolverWorkspace),
+    ) -> Result<Solution<'_>> {
+        if let Some(entry) = self.find() {
+            #[cfg(debug_assertions)]
+            {
+                load(workspace);
+                workspace.solve(table).expect("a remembered flow set solved before");
+                let want = self.solution(entry, true);
+                assert!(
+                    workspace
+                        .rates()
+                        .iter()
+                        .map(|r| r.to_bits())
+                        .eq(want.rates.iter().map(|r| r.to_bits()))
+                        && workspace.attribution() == want.attribution,
+                    "remembered rates {want:?} differ from a fresh solve {:?} {:?}",
+                    workspace.rates(),
+                    workspace.attribution()
+                );
+            }
+            return Ok(self.solution(entry, true));
+        }
+        load(workspace);
+        workspace.solve(table)?;
+        let entry = self.insert(workspace.rates(), workspace.attribution());
+        Ok(self.solution(entry, false))
+    }
+
+    fn solution(&self, entry: usize, reused: bool) -> Solution<'_> {
+        let MemoEntry { start, flows, .. } = self.entries[entry];
+        Solution {
+            rates: &self.rates[start..start + flows],
+            attribution: &self.attribution[start..start + flows],
+            reused,
+        }
+    }
+
+    /// The slot the key's probe starts at: the hash's top bits, which a
+    /// multiplicative hash mixes best.
+    fn home(&self) -> usize {
+        (self.hash >> (u64::BITS - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// The entry remembering the key's flow set, if any.
+    fn find(&self) -> Option<usize> {
+        let flows = self.key.len() / 2;
+        let mut slot = self.home();
+        loop {
+            let entry = match *self.slots.get(slot)? {
+                0 => return None,
+                e => e as usize - 1,
+            };
+            let MemoEntry { hash, start, flows: have } = self.entries[entry];
+            if hash == self.hash
+                && have == flows
+                && self.keys[2 * start..2 * (start + flows)] == self.key[..]
+            {
+                return Some(entry);
+            }
+            slot = (slot + 1) % MEMO_SLOTS;
+        }
+    }
+
+    /// Remembers the key's solution and returns its entry, first clearing
+    /// a full memo.
+    fn insert(&mut self, rates: &[f64], attribution: &[Bottleneck]) -> usize {
+        if self.entries.len() == MEMO_ENTRIES || self.rates.len() + rates.len() > MEMO_FLOWS {
+            self.clear();
+        }
+        if self.slots.is_empty() {
+            self.slots = vec![0; MEMO_SLOTS];
+        }
+        let mut slot = self.home();
+        while self.slots[slot] != 0 {
+            slot = (slot + 1) % MEMO_SLOTS;
+        }
+        let entry = self.entries.len();
+        self.slots[slot] = u32::try_from(entry + 1).expect("MEMO_ENTRIES fits a slot");
+        self.entries.push(MemoEntry {
+            hash: self.hash,
+            start: self.rates.len(),
+            flows: rates.len(),
+        });
+        self.keys.extend_from_slice(&self.key);
+        self.rates.extend_from_slice(rates);
+        self.attribution.extend_from_slice(attribution);
+        entry
     }
 }
 
@@ -671,14 +864,11 @@ mod tests {
                 for spec in &specs {
                     workspace.push(&spec.route, spec.cap);
                 }
-                let got = workspace.solve(&table, true);
+                let got = workspace.solve(&table);
                 prop_assert_eq!(got.is_ok(), want.is_ok(), "{:?} vs {:?}", got, want);
                 let Ok(want) = want else { continue };
                 prop_assert_eq!(bits(workspace.rates()), bits(&want));
                 prop_assert_eq!(workspace.attribution(), &want_attribution[..]);
-
-                workspace.solve(&table, false).expect("same instance");
-                prop_assert_eq!(bits(workspace.rates()), bits(&want));
                 prop_assert_eq!(
                     bits(&solve_maxmin(&table, &specs).expect("same instance")),
                     bits(&want)
@@ -689,5 +879,80 @@ mod tests {
                 prop_assert_eq!(attribution, want_attribution);
             }
         }
+
+        /// The memo answers a stream of flow sets drawn from a small pool
+        /// bit for bit like fresh solves, reuses exactly the flow sets it
+        /// has seen since it was last cleared, and solves again after a
+        /// clear.
+        #[test]
+        fn memo_reuses_exactly_the_repeats(
+            pool in proptest::collection::vec(
+                proptest::collection::vec((0usize..4, 0u8..4, 0.0f64..1.0), 0..6),
+                1..5,
+            ),
+            picks in proptest::collection::vec(0usize..6, 1..40),
+        ) {
+            let routes: [&[ResourceIndex]; 4] = [&[0], &[0, 1], &[1, 2], &[2, 2]];
+            let table = table(&[5.0, 3.0, 11.0]);
+            let mut memo = RateMemo::default();
+            let mut workspace = SolverWorkspace::default();
+            let mut seen = std::collections::HashSet::new();
+            for &pick in &picks {
+                let Some(flows) = pool.get(pick) else {
+                    memo.clear();
+                    seen.clear();
+                    continue;
+                };
+                let specs: Vec<FlowSpec> = flows
+                    .iter()
+                    .map(|&(route, kind, unit)| FlowSpec::new(routes[route].to_vec(), regime(kind, unit)))
+                    .collect();
+                memo.begin();
+                for (&(route, ..), spec) in flows.iter().zip(&specs) {
+                    memo.push(route, spec.cap);
+                }
+                let got = memo
+                    .solve(&mut workspace, &table, |workspace| {
+                        workspace.clear();
+                        for spec in &specs {
+                            workspace.push(&spec.route, spec.cap);
+                        }
+                    })
+                    .expect("valid flows");
+                let (want, want_attribution) =
+                    solve_maxmin_attributed(&table, &specs).expect("valid flows");
+                prop_assert_eq!(bits(got.rates), bits(&want));
+                prop_assert_eq!(got.attribution, &want_attribution[..]);
+                let key: Vec<(ResourceIndex, u64)> =
+                    flows.iter().zip(&specs).map(|(&(route, ..), spec)| (route, spec.cap.to_bits())).collect();
+                prop_assert_eq!(got.reused, !seen.insert(key));
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_memo_starts_over() {
+        let t = table(&[1.0e9]);
+        let mut memo = RateMemo::default();
+        let mut workspace = SolverWorkspace::default();
+        let mut solve = |memo: &mut RateMemo, cap: f64| {
+            memo.begin();
+            memo.push(0, cap);
+            let solution = memo
+                .solve(&mut workspace, &t, |workspace| {
+                    workspace.clear();
+                    workspace.push(&[0], cap);
+                })
+                .expect("valid flow");
+            assert_eq!(solution.rates, [cap]);
+            solution.reused
+        };
+        for i in 0..MEMO_ENTRIES {
+            assert!(!solve(&mut memo, 1.0 + i as f64));
+        }
+        assert!(solve(&mut memo, 1.0), "a memo with room keeps every entry");
+        assert!(!solve(&mut memo, 0.5), "a new flow set still solves");
+        assert!(!solve(&mut memo, 1.0), "the memo started over when full");
+        assert!(solve(&mut memo, 0.5));
     }
 }

@@ -31,6 +31,12 @@ pub struct RunMetrics {
     /// Transfer retransmissions triggered by failed links (see
     /// [`crate::recovery::RetryPolicy`]).
     pub retries: usize,
+    /// Max-min rate solves run: one per distinct flow set between
+    /// capacity changes, however often the set recurs, while the run's
+    /// memo of solutions has room.
+    pub rate_solves: usize,
+    /// Rate re-solves answered from the run's memo of earlier solutions.
+    pub rate_reuses: usize,
 }
 
 impl RunMetrics {
@@ -47,6 +53,8 @@ impl RunMetrics {
             checkpoints_taken: 0,
             recoveries: 0,
             retries: 0,
+            rate_solves: 0,
+            rate_reuses: 0,
         }
     }
 

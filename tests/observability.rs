@@ -6,14 +6,24 @@
 use corescope::harness::{
     chrome_trace_json, representative_trace, utilization_csv, Artifact, Cell, Fidelity,
 };
+use corescope::kernels::randomaccess::{append_mpi, RaParams};
 use corescope::kernels::stream::{append_star, StreamParams};
-use corescope::machine::{systems, FaultPlan, Machine, TraceConfig};
+use corescope::machine::{
+    systems, ComputePhase, FaultPlan, Machine, RunMetrics, TraceConfig, TrafficProfile,
+};
 use corescope::smpi::{CommWorld, LockLayer, MpiImpl};
 use corescope_bench::validate_chrome_trace;
+use corescope_sched::System;
+
+/// `n` ranks under two-MPI-per-socket localalloc placement with
+/// user-space SysV locks, the scenario defaults.
+fn world(machine: &Machine, n: usize, mpi: MpiImpl) -> CommWorld<'_> {
+    let placements = corescope::affinity::Scheme::TwoMpiLocalAlloc.resolve(machine, n).unwrap();
+    CommWorld::new(machine, placements, mpi.profile(), LockLayer::USysV)
+}
 
 fn stream_world(machine: &Machine, n: usize) -> CommWorld<'_> {
-    let placements = corescope::affinity::Scheme::TwoMpiLocalAlloc.resolve(machine, n).unwrap();
-    let mut world = CommWorld::new(machine, placements, MpiImpl::Lam.profile(), LockLayer::USysV);
+    let mut world = world(machine, n, MpiImpl::Lam);
     append_star(&mut world, &StreamParams { sweeps: 3, ..StreamParams::default() });
     world
 }
@@ -29,6 +39,50 @@ fn tracing_is_invisible_to_the_physics() {
     let trace = traced.trace.expect("tracing was on");
     assert!(!trace.intervals.is_empty());
     assert!((trace.end_time - report.makespan).abs() <= report.makespan * 1e-12);
+}
+
+/// Runs `world` untraced and traced, checks the two reports are
+/// bit-identical, and returns the metrics.
+fn metrics_traced_and_not(world: &CommWorld<'_>) -> RunMetrics {
+    let plain = world.run().unwrap();
+    let traced = world.observe(&FaultPlan::new(), TraceConfig::on()).result.unwrap();
+    assert_eq!(plain.makespan.to_bits(), traced.makespan.to_bits());
+    assert_eq!(plain, traced, "tracing must not change the report or its counters");
+    plain.metrics
+}
+
+#[test]
+fn rate_solves_follow_program_text_not_iteration_count() {
+    // Steady-state loops repeat their flow sets, so each distinct set is
+    // solved once and every further iteration only adds reuses.
+    let longs = System::Longs.machine();
+    let randomaccess = |chunks: u64| {
+        let mut w = world(&longs, 16, MpiImpl::Mpich2);
+        append_mpi(
+            &mut w,
+            &RaParams { table_words_per_rank: 1 << 24, updates_per_rank: chunks * 256 },
+        );
+        w
+    };
+    let epyc = System::Epyc.machine();
+    let bsp = |steps: u64| {
+        let mut w = world(&epyc, 32, MpiImpl::Mpich2);
+        let phase = ComputePhase::new("bsp-step", 5.0e6, TrafficProfile::stream(8.0e6));
+        w.repeat(steps, |w| {
+            w.compute_all(|_| Some(phase.clone()));
+            w.allreduce(8.0);
+        });
+        w
+    };
+    for (name, short, long) in
+        [("randomaccess", randomaccess(16), randomaccess(64)), ("bsp", bsp(100), bsp(1000))]
+    {
+        let short = metrics_traced_and_not(&short);
+        let long = metrics_traced_and_not(&long);
+        assert!(short.rate_solves > 0, "{name}");
+        assert_eq!(short.rate_solves, long.rate_solves, "{name}: solves grew with the loop");
+        assert!(long.rate_reuses > short.rate_reuses, "{name}: a longer loop reuses more");
+    }
 }
 
 #[test]

@@ -3,8 +3,10 @@
 //! hangs.
 
 use corescope::affinity::Scheme;
+use corescope::kernels::stream::{append_star, StreamParams};
 use corescope::machine::{
-    systems, CheckpointPolicy, Error, FaultPlan, LinkId, Machine, RankId, RetryPolicy, TraceConfig,
+    systems, CheckpointPolicy, Engine, Error, FaultPlan, LinkId, Machine, MemoryLayout, NumaNodeId,
+    RankId, RetryPolicy, TraceConfig,
 };
 use corescope::smpi::{CommWorld, FtOutcome, LockLayer, MpiImpl};
 
@@ -184,5 +186,86 @@ fn rank_stalled_during_a_collective_is_a_typed_error() {
     match w.run_with_faults(&plan).unwrap_err() {
         Error::RankStalled { rank, .. } => assert_eq!(rank, RankId::new(3)),
         other => panic!("expected RankStalled for rank 3, got {other}"),
+    }
+}
+
+/// `(rate_solves, rate_reuses)` in each of the three phases a fault at
+/// `t1` and a restore at `t2` cut a run of `world` under `plan` into:
+/// each phase's counters are the difference between runs stopped by a
+/// time budget at its ends.
+fn memo_phases(
+    world: &CommWorld<'_>,
+    engine: Engine<'_>,
+    plan: &FaultPlan,
+    t1: f64,
+    t2: f64,
+) -> [(usize, usize); 3] {
+    let counters = |budget: Option<f64>| {
+        let engine = match budget {
+            Some(t) => engine.clone().with_time_budget(t),
+            None => engine.clone(),
+        };
+        let observed =
+            engine.observe(world.placements(), world.programs(), plan, TraceConfig::off());
+        assert_eq!(observed.result.is_ok(), budget.is_none(), "{:?}", observed.result);
+        (observed.metrics.rate_solves, observed.metrics.rate_reuses)
+    };
+    let [a, b, c] = [counters(Some(t1)), counters(Some(t2)), counters(None)];
+    [a, (b.0 - a.0, b.1 - a.1), (c.0 - b.0, c.1 - b.1)]
+}
+
+#[test]
+fn rate_memo_is_cleared_when_capacities_change() {
+    // Looped all-core STREAM on Longs is probe-limited: halve the probe
+    // fabric between t1 and t2. Every phase must solve its new flow sets
+    // and then reuse them; debug builds re-solve every reuse and compare.
+    let m = Machine::new(systems::longs());
+    let placements = Scheme::TwoMpiLocalAlloc.resolve(&m, 16).unwrap();
+    let mut w = CommWorld::new(&m, placements, MpiImpl::Lam.profile(), LockLayer::USysV);
+    append_star(
+        &mut w,
+        &StreamParams { elements_per_rank: 200_000, sweeps: 12, ..StreamParams::default() },
+    );
+    let healthy = w.run().unwrap().makespan;
+    let (t1, t2) = (healthy * 0.25, healthy * 0.6);
+    let transient_plan = FaultPlan::new().probe_brownout(t1, 0.5).probe_restore(t2);
+    let transient = w.run_with_faults(&transient_plan).unwrap().makespan;
+    let degraded = w.run_with_faults(&FaultPlan::new().probe_brownout(0.0, 0.5)).unwrap().makespan;
+    assert!(
+        healthy < transient && transient < degraded,
+        "expected healthy {healthy:.6} < transient {transient:.6} < degraded {degraded:.6}"
+    );
+    for (phase, (solves, reuses)) in
+        memo_phases(&w, Engine::new(&m), &transient_plan, t1, t2).into_iter().enumerate()
+    {
+        assert!(solves > 0 && reuses > 0, "phase {phase}: {solves} solves, {reuses} reuses");
+    }
+
+    // A severed link clears the memo too. Rank 1 streams from the far
+    // node over the link, so its flow outlives the failure (starved, not
+    // lost), and rank 3's local sweeps make the flow sets around it recur
+    // with the link dead; the transfers from rank 0 to rank 2 are lost
+    // and retried.
+    let m = Machine::new(systems::dmz());
+    let mut placements = Scheme::TwoMpiLocalAlloc.resolve(&m, 4).unwrap();
+    placements[1].layout = MemoryLayout::single(NumaNodeId::new(1));
+    let mut w = CommWorld::new(&m, placements, MpiImpl::OpenMpi.profile(), LockLayer::USysV);
+    let sweep = StreamParams { elements_per_rank: 200_000, sweeps: 1, ..StreamParams::default() };
+    w.repeat(10, |w| {
+        w.sendrecv(0, 2, 1e6);
+        w.compute(1, sweep.phase());
+        w.compute(3, sweep.phase());
+    });
+    let healthy = w.run().unwrap().makespan;
+    let (t1, t2) = (healthy * 0.3, healthy * 0.6);
+    let plan = FaultPlan::new().link_fail(t1, LinkId::new(0)).link_restore(t2, LinkId::new(0));
+    let retry = RetryPolicy::new(healthy * 0.02);
+    let report = w.clone().with_retry(retry.clone()).run_with_faults(&plan).unwrap();
+    assert!(report.metrics.retries >= 1, "severed transfers must retransmit");
+    assert!(report.makespan > healthy, "the outage must cost time");
+    for (phase, (solves, reuses)) in
+        memo_phases(&w, Engine::new(&m).with_retry(retry), &plan, t1, t2).into_iter().enumerate()
+    {
+        assert!(solves > 0 && reuses > 0, "phase {phase}: {solves} solves, {reuses} reuses");
     }
 }
