@@ -19,7 +19,9 @@
 //! per-receiver lists instead of hashing `(src, dst, tag)` keys. A
 //! [`RateMemo`] remembers each run's solutions by flow set, so a
 //! steady-state loop solves each of its flow sets once, however many
-//! iterations it runs.
+//! iterations it runs. An event calendar (a dense list of live flow
+//! slots and a per-rank timer array) makes each event visit only the
+//! flows that exist and the ranks whose timers are due.
 
 use crate::cache;
 use crate::error::{Error, Result};
@@ -572,6 +574,20 @@ enum Status {
     Done,
 }
 
+/// The time at which a rank in `status` next fires at `now`, or infinity
+/// when no timer of its own can wake it: a compute phase's CPU end while
+/// the phase can still finish on it (no flows pending, or the CPU end not
+/// yet reached), a wait's deadline. This is what [`Sim::timer_at`] holds.
+fn timer_of(status: Status, now: f64) -> f64 {
+    match status {
+        Status::Computing { cpu_end, pending_flows } if pending_flows == 0 || cpu_end > now => {
+            cpu_end
+        }
+        Status::Waiting { until } => until,
+        _ => f64::INFINITY,
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum TransferState {
     /// Send posted, waiting for the matching receive.
@@ -684,6 +700,10 @@ struct Sim<'a, 'm> {
     /// exhausted.
     frames: Vec<Vec<Frame<'a>>>,
     status: Vec<Status>,
+    /// Per rank, [`timer_of`] its status: the next event time is one
+    /// minimum over this slice, and only ranks whose entry is due are
+    /// examined for firing.
+    timer_at: Vec<f64>,
     /// Ranks whose status is not Done.
     running: usize,
     finish: Vec<f64>,
@@ -692,6 +712,9 @@ struct Sim<'a, 'm> {
     /// the slot order (and with it the solve and completion order) that
     /// a first-vacancy scan gives.
     free_flows: BinaryHeap<Reverse<usize>>,
+    /// The occupied flow slots in ascending order: the order a scan of
+    /// `flows` visits them, so every per-flow pass walks this instead.
+    live: Vec<usize>,
     /// Transfer slots; a delivered transfer's slot goes to
     /// `free_transfers` and is reused by a later send.
     transfers: Vec<Transfer>,
@@ -714,8 +737,6 @@ struct Sim<'a, 'm> {
     /// fault changes one. Not part of a [`SimSnapshot`]: a rollback leaves
     /// capacities alone, so what the memo holds stays valid across it.
     memo: RateMemo,
-    /// The flow slot behind each flow in the solved flow set.
-    solver_slots: Vec<usize>,
     /// Lowest rank made Ready since `dispatch_all` last looked.
     ready_low: usize,
     /// `None` when tracing is off: the hot loop then skips every trace
@@ -753,10 +774,12 @@ impl<'a, 'm> Sim<'a, 'm> {
             now: 0.0,
             frames: programs.iter().map(|p| vec![Frame::program(p)]).collect(),
             status: vec![Status::Ready; n],
+            timer_at: vec![f64::INFINITY; n],
             running: n,
             finish: vec![0.0; n],
             flows: Vec::new(),
             free_flows: BinaryHeap::new(),
+            live: Vec::new(),
             transfers: Vec::new(),
             free_transfers: Vec::new(),
             starting_transfers: Vec::new(),
@@ -767,7 +790,6 @@ impl<'a, 'm> Sim<'a, 'm> {
             rates_dirty: false,
             solver: SolverWorkspace::default(),
             memo: RateMemo::default(),
-            solver_slots: Vec::new(),
             ready_low: 0,
             trace: trace.is_on().then(|| {
                 Box::new(TraceState {
@@ -874,7 +896,7 @@ impl<'a, 'm> Sim<'a, 'm> {
 
             self.apply_due_faults()?;
             self.maybe_start_checkpoint()?;
-            self.process_flow_completions()?;
+            self.process_flow_completions();
             self.process_timers()?;
             self.dispatch_all()?;
             if self.rates_dirty {
@@ -896,7 +918,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         let n = self.resources.len();
         let mut load = vec![0.0; n];
         let mut routed = vec![false; n];
-        for f in self.flows.iter().flatten() {
+        for f in self.live.iter().filter_map(|&slot| self.flows[slot].as_ref()) {
             for &r in self.engine.route(f.route) {
                 load[r] += f.rate;
                 routed[r] = true;
@@ -922,8 +944,8 @@ impl<'a, 'm> Sim<'a, 'm> {
         // Attribute the interval to the open spans of the ranks each live
         // flow serves: a phase flow charges its rank; a transfer charges
         // the receiver, plus a rendezvous sender still blocked on it.
-        for (slot, f) in self.flows.iter().enumerate() {
-            let Some(f) = f else { continue };
+        for &slot in &self.live {
+            let Some(f) = &self.flows[slot] else { continue };
             let b = trace.flow_bottleneck.get(slot).copied().unwrap_or(Bottleneck::FlowCap);
             match f.owner {
                 FlowOwner::Phase(rank) => attribute(&mut trace.open, rank, b, dt),
@@ -1102,6 +1124,7 @@ impl<'a, 'm> Sim<'a, 'm> {
     /// Marks `rank` Ready.
     fn set_ready(&mut self, rank: usize) {
         self.status[rank] = Status::Ready;
+        self.timer_at[rank] = f64::INFINITY;
         self.ready_low = self.ready_low.min(rank);
     }
 
@@ -1151,7 +1174,9 @@ impl<'a, 'm> Sim<'a, 'm> {
             Op::Compute(ref phase) => self.start_phase(rank, phase)?,
             Op::Delay(seconds) => {
                 if seconds > 0.0 {
-                    self.status[rank] = Status::Waiting { until: self.now + seconds };
+                    let until = self.now + seconds;
+                    self.status[rank] = Status::Waiting { until };
+                    self.timer_at[rank] = until;
                 }
             }
             Op::Send { to, bytes, tag, cost } => {
@@ -1235,8 +1260,9 @@ impl<'a, 'm> Sim<'a, 'm> {
         if pending == 0 && cpu_time <= 0.0 {
             // Nothing to do: stay Ready (dispatch loop continues).
         } else {
-            self.status[rank] =
-                Status::Computing { cpu_end: self.now + cpu_time, pending_flows: pending };
+            let status = Status::Computing { cpu_end: self.now + cpu_time, pending_flows: pending };
+            self.status[rank] = status;
+            self.timer_at[rank] = timer_of(status, self.now);
         }
         Ok(())
     }
@@ -1289,7 +1315,9 @@ impl<'a, 'm> Sim<'a, 'm> {
         if cost.rendezvous {
             self.status[rank] = Status::SendBlocked { transfer: idx };
         } else if cost.sender_busy > 0.0 {
-            self.status[rank] = Status::Waiting { until: self.now + cost.sender_busy };
+            let until = self.now + cost.sender_busy;
+            self.status[rank] = Status::Waiting { until };
+            self.timer_at[rank] = until;
         }
         // else: sender continues immediately (stays Ready).
         Ok(())
@@ -1338,7 +1366,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             (tr.src, tr.dst, tr.bytes, tr.cost.cap)
         };
         if bytes <= EPS_BYTES {
-            self.complete_transfer(t)?;
+            self.complete_transfer(t);
             return Ok(());
         }
         let s_src = machine.socket_of(self.placements[src].core);
@@ -1373,7 +1401,7 @@ impl<'a, 'm> Sim<'a, 'm> {
     /// Delivers transfer `t`, releasing its receiver (and a rendezvous
     /// sender), and frees its slot: nothing refers to a delivered
     /// transfer any more.
-    fn complete_transfer(&mut self, t: usize) -> Result<()> {
+    fn complete_transfer(&mut self, t: usize) {
         let (src, dst, rendezvous) = {
             let tr = &mut self.transfers[t];
             tr.state = TransferState::Done;
@@ -1386,22 +1414,28 @@ impl<'a, 'm> Sim<'a, 'm> {
         if rendezvous && self.status[src] == (Status::SendBlocked { transfer: t }) {
             self.set_ready(src);
         }
-        Ok(())
     }
 
     fn add_flow(&mut self, flow: ActiveFlow) -> usize {
         self.rates_dirty = true;
         if let Some(Reverse(slot)) = self.free_flows.pop() {
             self.flows[slot] = Some(flow);
+            let at = self.live.partition_point(|&s| s < slot);
+            self.live.insert(at, slot);
             slot
         } else {
             self.flows.push(Some(flow));
-            self.flows.len() - 1
+            let slot = self.flows.len() - 1;
+            self.live.push(slot);
+            slot
         }
     }
 
     /// Vacates a flow slot, charging the flow for the bytes it actually
-    /// moved.
+    /// moved. The slot stays in `live` until the caller's
+    /// [`Sim::compact_live`]: a pass that vacates several slots compacts
+    /// the list once at its end, and every walk of `live` skips vacated
+    /// slots meanwhile.
     fn remove_flow(&mut self, slot: usize) -> Option<ActiveFlow> {
         let flow = self.flows[slot].take()?;
         self.free_flows.push(Reverse(slot));
@@ -1420,10 +1454,16 @@ impl<'a, 'm> Sim<'a, 'm> {
         }
     }
 
+    /// Drops the slots vacated by [`Sim::remove_flow`] from `live`.
+    fn compact_live(&mut self) {
+        let flows = &self.flows;
+        self.live.retain(|&slot| flows[slot].is_some());
+    }
+
     /// Charges every live flow for the bytes it moved so far.
     fn charge_flow_bytes(&mut self) {
-        for slot in 0..self.flows.len() {
-            if let Some(flow) = self.flows[slot] {
+        for i in 0..self.live.len() {
+            if let Some(flow) = self.flows[self.live[i]] {
                 self.charge(&flow);
             }
         }
@@ -1443,16 +1483,12 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.rates_dirty = false;
         let engine = self.engine;
         self.memo.begin();
-        self.solver_slots.clear();
-        for (slot, f) in self.flows.iter().enumerate() {
-            if let Some(f) = f {
-                self.solver_slots.push(slot);
-                // Interned routes are disjoint, non-empty ranges, so a
-                // route's start identifies it.
-                self.memo.push(f.route.start, f.cap);
-            }
+        let (flows, slots) = (&self.flows, &self.live);
+        for f in slots.iter().filter_map(|&slot| flows[slot].as_ref()) {
+            // Interned routes are disjoint, non-empty ranges, so a route's
+            // start identifies it.
+            self.memo.push(f.route.start, f.cap);
         }
-        let (flows, slots) = (&self.flows, &self.solver_slots);
         // Traced and untraced runs take the same path, attribution
         // included, so tracing cannot perturb the simulation or its
         // counters.
@@ -1470,13 +1506,12 @@ impl<'a, 'm> Sim<'a, 'm> {
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.flow_bottleneck.clear();
             trace.flow_bottleneck.resize(self.flows.len(), Bottleneck::FlowCap);
-            for (&slot, &b) in self.solver_slots.iter().zip(solution.attribution) {
+            for (&slot, &b) in self.live.iter().zip(solution.attribution) {
                 trace.flow_bottleneck[slot] = b;
             }
         }
-        for (&slot, &rate) in self.solver_slots.iter().zip(solution.rates) {
-            // The slots were collected from occupied slots above and
-            // nothing vacates `self.flows` in between.
+        for (&slot, &rate) in self.live.iter().zip(solution.rates) {
+            // Every slot in `live` is occupied outside a vacating pass.
             let Some(f) = self.flows[slot].as_mut() else {
                 debug_assert!(false, "rate solved for a vacated flow slot");
                 continue;
@@ -1486,14 +1521,59 @@ impl<'a, 'm> Sim<'a, 'm> {
         Ok(())
     }
 
+    /// The earliest pending event: the next fault, a live flow draining,
+    /// a rank's timer, a transfer starting. `None` when nothing is
+    /// pending.
     fn next_event_time(&self) -> Option<f64> {
         let mut next = f64::INFINITY;
         if let Some(f) = self.faults.get(self.next_fault) {
             next = next.min(f.at.max(self.now));
         }
-        for f in self.flows.iter().flatten() {
+        for f in self.live.iter().filter_map(|&slot| self.flows[slot].as_ref()) {
             if f.rate > 0.0 {
                 next = next.min(self.now + f.remaining / f.rate);
+            }
+        }
+        // A timer entry may lie in the past; clamping the minimum to `now`
+        // below gives what clamping each entry would.
+        next = self.timer_at.iter().copied().fold(next, f64::min);
+        for &t in &self.starting_transfers {
+            if let TransferState::Starting { at } = self.transfers[t].state {
+                next = next.min(at.max(self.now));
+            }
+        }
+        let next = next.is_finite().then_some(next.max(self.now));
+        #[cfg(debug_assertions)]
+        self.check_calendar(next);
+        next
+    }
+
+    /// Debug oracle for the event calendar: every timer entry is what its
+    /// rank's status gives, `live` lists exactly the occupied slots, and
+    /// the next event time is bit for bit what a scan over every flow
+    /// slot and every rank status finds.
+    #[cfg(debug_assertions)]
+    fn check_calendar(&self, next: Option<f64>) {
+        for (rank, (&at, &status)) in self.timer_at.iter().zip(&self.status).enumerate() {
+            assert_eq!(
+                at.to_bits(),
+                timer_of(status, self.now).to_bits(),
+                "rank {rank} timer {at} for {status:?} at {}",
+                self.now
+            );
+        }
+        assert!(self
+            .live
+            .iter()
+            .copied()
+            .eq((0..self.flows.len()).filter(|&s| self.flows[s].is_some())));
+        let mut scan = f64::INFINITY;
+        if let Some(f) = self.faults.get(self.next_fault) {
+            scan = scan.min(f.at.max(self.now));
+        }
+        for f in self.flows.iter().flatten() {
+            if f.rate > 0.0 {
+                scan = scan.min(self.now + f.remaining / f.rate);
             }
         }
         for s in &self.status {
@@ -1501,26 +1581,33 @@ impl<'a, 'm> Sim<'a, 'm> {
                 Status::Computing { cpu_end, pending_flows }
                     if pending_flows == 0 || cpu_end > self.now =>
                 {
-                    next = next.min(cpu_end.max(self.now));
+                    scan = scan.min(cpu_end.max(self.now));
                 }
-                Status::Waiting { until } => next = next.min(until),
+                Status::Waiting { until } => scan = scan.min(until),
                 _ => {}
             }
         }
         for &t in &self.starting_transfers {
             if let TransferState::Starting { at } = self.transfers[t].state {
-                next = next.min(at.max(self.now));
+                scan = scan.min(at.max(self.now));
             }
         }
-        next.is_finite().then_some(next.max(self.now))
+        let scan = scan.is_finite().then_some(scan.max(self.now));
+        assert_eq!(
+            next.map(f64::to_bits),
+            scan.map(f64::to_bits),
+            "calendar {next:?} vs scan {scan:?}"
+        );
     }
 
     fn advance_flows(&mut self, dt: f64) {
         if dt <= 0.0 {
             return;
         }
-        for f in self.flows.iter_mut().flatten() {
-            f.remaining -= f.rate * dt;
+        for &slot in &self.live {
+            if let Some(f) = self.flows[slot].as_mut() {
+                f.remaining -= f.rate * dt;
+            }
         }
     }
 
@@ -1533,8 +1620,12 @@ impl<'a, 'm> Sim<'a, 'm> {
         f.remaining <= eps
     }
 
-    fn process_flow_completions(&mut self) -> Result<()> {
-        for slot in 0..self.flows.len() {
+    /// Retires every drained flow in slot order. Each flow is tested when
+    /// the walk reaches it, after earlier completions have been handled
+    /// (a committed checkpoint rebases the flows still live).
+    fn process_flow_completions(&mut self) {
+        for i in 0..self.live.len() {
+            let slot = self.live[i];
             let done = match &self.flows[slot] {
                 Some(f) => self.flow_done(f),
                 None => false,
@@ -1550,14 +1641,15 @@ impl<'a, 'm> Sim<'a, 'm> {
                         if pending == 0 && cpu_end <= self.now + EPS_TIME {
                             self.set_ready(rank);
                         } else {
+                            // The timer entry needs no update: the CPU end
+                            // is still ahead, or it has passed with flows
+                            // still pending, which `process_timers` clears.
                             self.status[rank] =
                                 Status::Computing { cpu_end, pending_flows: pending };
                         }
                     }
                 }
-                FlowOwner::Transfer(t) => {
-                    self.complete_transfer(t)?;
-                }
+                FlowOwner::Transfer(t) => self.complete_transfer(t),
                 FlowOwner::Checkpoint(_) => {
                     self.ckpt_flows_pending -= 1;
                     if self.ckpt_flows_pending == 0 {
@@ -1568,23 +1660,49 @@ impl<'a, 'm> Sim<'a, 'm> {
                 }
             }
         }
-        Ok(())
+        self.compact_live();
     }
 
+    /// Fires the due rank timers, then starts the due transfers.
+    ///
+    /// Only ranks whose [`Sim::timer_at`] entry is due are examined. That
+    /// entry is the CPU end or wait deadline a full scan would test, so
+    /// the same ranks become Ready, in the same ascending order.
     fn process_timers(&mut self) -> Result<()> {
-        for rank in 0..self.status.len() {
-            match self.status[rank] {
-                Status::Computing { cpu_end, pending_flows }
-                    if pending_flows == 0 && cpu_end <= self.now + EPS_TIME =>
-                {
-                    self.set_ready(rank);
+        let due = self.now + EPS_TIME;
+        #[cfg(debug_assertions)]
+        let expected: Vec<usize> = (0..self.status.len())
+            .filter(|&rank| match self.status[rank] {
+                Status::Computing { cpu_end, pending_flows } => {
+                    pending_flows == 0 && cpu_end <= due
                 }
-                Status::Waiting { until } if until <= self.now + EPS_TIME => {
-                    self.set_ready(rank);
-                }
-                _ => {}
+                Status::Waiting { until } => until <= due,
+                _ => false,
+            })
+            .collect();
+        #[cfg(debug_assertions)]
+        let mut readied = Vec::new();
+        for rank in 0..self.timer_at.len() {
+            if self.timer_at[rank] > due {
+                continue;
             }
+            match self.status[rank] {
+                Status::Computing { cpu_end, pending_flows } if pending_flows > 0 => {
+                    // The CPU part is done but flows are pending: only
+                    // their completion can finish the phase now.
+                    if cpu_end <= self.now {
+                        self.timer_at[rank] = f64::INFINITY;
+                    }
+                    continue;
+                }
+                Status::Computing { .. } | Status::Waiting { .. } => self.set_ready(rank),
+                status => debug_assert!(false, "rank {rank} has a timer in {status:?}"),
+            }
+            #[cfg(debug_assertions)]
+            readied.push(rank);
         }
+        #[cfg(debug_assertions)]
+        assert_eq!(readied, expected, "calendar readied other ranks than a scan at {}", self.now);
         let mut i = 0;
         while i < self.starting_transfers.len() {
             let t = self.starting_transfers[i];
@@ -1694,9 +1812,11 @@ impl<'a, 'm> Sim<'a, 'm> {
     /// it, so the same bytes are never charged twice.
     fn settle_flow_bytes(&mut self) {
         self.charge_flow_bytes();
-        for f in self.flows.iter_mut().flatten() {
-            f.initial = f.remaining.max(0.0);
-            f.remaining = f.initial;
+        for &slot in &self.live {
+            if let Some(f) = self.flows[slot].as_mut() {
+                f.initial = f.remaining.max(0.0);
+                f.remaining = f.initial;
+            }
         }
     }
 
@@ -1770,6 +1890,12 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.ckpt_flows_pending = 0;
         self.next_ckpt_at = Some(resumed_at + interval);
         self.now = resumed_at;
+        // The calendar follows the restored, shifted state.
+        self.live.clear();
+        self.live.extend((0..self.flows.len()).filter(|&slot| self.flows[slot].is_some()));
+        for (at, &status) in self.timer_at.iter_mut().zip(&self.status) {
+            *at = timer_of(status, resumed_at);
+        }
         self.rates_dirty = true;
         self.metrics.recoveries += 1;
         let num_resources = self.resources.len();
@@ -1799,7 +1925,8 @@ impl<'a, 'm> Sim<'a, 'm> {
     /// starve and the no-progress diagnosis names the stalled rank.
     fn detect_lost_transfers(&mut self, index: ResourceIndex) -> Result<()> {
         let Some(retry) = self.engine.retry.clone() else { return Ok(()) };
-        for slot in 0..self.flows.len() {
+        for i in 0..self.live.len() {
+            let slot = self.live[i];
             let is_lost = match &self.flows[slot] {
                 Some(f) => {
                     matches!(f.owner, FlowOwner::Transfer(_))
@@ -1814,8 +1941,12 @@ impl<'a, 'm> Sim<'a, 'm> {
             // retransmit resends the full payload on top of them.
             let Some(flow) = self.remove_flow(slot) else { continue };
             let FlowOwner::Transfer(t) = flow.owner else { continue };
-            self.schedule_retry(t, &retry)?;
+            if let Err(e) = self.schedule_retry(t, &retry) {
+                self.compact_live();
+                return Err(e);
+            }
         }
+        self.compact_live();
         Ok(())
     }
 
@@ -2641,5 +2772,290 @@ mod tests {
             degraded <= 2.0 * healthy * 1.001,
             "halving one resource can at most double the makespan: {degraded:.4} vs {healthy:.4}"
         );
+    }
+
+    // ---- event calendar ----------------------------------------------------
+    //
+    // Debug builds check the calendar against a full scan at every event
+    // (`Sim::check_calendar` and the oracle in `process_timers`). These
+    // runs steer it through its edge cases, and pin each run's makespan
+    // bits and event count, as the scan-based engine produced them.
+
+    /// Runs `programs` looped and unrolled under `plan`, traced and not.
+    /// All four runs must agree to the bit, and match the pinned makespan
+    /// bits and event count. Returns the traced looped run.
+    fn assert_calendar_run(
+        engine: &Engine,
+        placements: &[RankPlacement],
+        programs: &[Program],
+        plan: &crate::FaultPlan,
+        pinned: (u64, usize),
+    ) -> Observed {
+        let flat: Vec<Program> = programs.iter().map(Program::unrolled).collect();
+        let looped = engine.observe(placements, programs, plan, TraceConfig::on());
+        let unrolled = engine.observe(placements, &flat, plan, TraceConfig::on());
+        assert_eq!(format!("{looped:?}"), format!("{unrolled:?}"));
+        let report = looped.result.as_ref().unwrap();
+        let untraced = engine.run_with_faults(placements, programs, plan).unwrap();
+        assert_eq!(&untraced, report);
+        assert_eq!(
+            (report.makespan.to_bits(), report.metrics.events),
+            pinned,
+            "{}",
+            report.makespan
+        );
+        looped
+    }
+
+    /// A zero-flop phase streaming `bytes` on every iteration.
+    fn memory_bound(bytes: f64) -> ComputePhase {
+        ComputePhase::new("generate", 0.0, TrafficProfile::stream(bytes))
+    }
+
+    #[test]
+    fn calendar_zero_flop_phases_wait_on_their_flows() {
+        // RandomAccess's generate shape: the CPU part ends the moment the
+        // phase starts, so the rank can only finish through its flows.
+        // Two ranks share socket 0's controller with different sizes, a
+        // third streams remote memory, and a barrier closes each step.
+        let m = Machine::new(systems::dmz());
+        let engine = Engine::new(&m);
+        let placements = [
+            local_placement(&m, 0),
+            local_placement(&m, 1),
+            RankPlacement::new(CoreId::new(2), MemoryLayout::single(NumaNodeId::new(0))),
+        ];
+        let programs: Vec<Program> = [3e5, 7e5, 5e5]
+            .iter()
+            .map(|&bytes| {
+                let mut body = Program::new();
+                body.compute(memory_bound(bytes)).compute(memory_bound(bytes / 3.0)).barrier();
+                let mut p = Program::new();
+                p.repeat(body, 40, 0);
+                p
+            })
+            .collect();
+        let observed = assert_calendar_run(
+            &engine,
+            &placements,
+            &programs,
+            &crate::FaultPlan::new(),
+            (4581245116260365160, 240),
+        );
+        // Every phase really was Computing with its CPU part over.
+        let trace = observed.trace.unwrap();
+        assert!(trace
+            .intervals
+            .iter()
+            .any(|iv| iv.rank_state.iter().all(|&s| s == RankState::Computing)));
+    }
+
+    #[test]
+    fn calendar_cpu_end_within_eps_of_the_last_flow() {
+        let m = Machine::new(systems::dmz());
+        let engine = Engine::new(&m);
+        let placements = [local_placement(&m, 0), local_placement(&m, 2)];
+        let bytes = 1e8;
+        // How long the flow alone takes: the zero-flop phase's makespan.
+        let drain = engine.run(&placements[..1], &[stream_program(bytes)]).unwrap().makespan;
+        let peak = m.spec().core.peak_flops();
+        // Rank 0's CPU part ends just after its flow drains, inside the
+        // timer slack, so the drain finishes the phase at once. Rank 1's
+        // ends 2 us before: its timer passes with the flow still pending
+        // and is cleared, and the drain finishes the phase later.
+        let phase = |offset: f64| {
+            let flops = (drain + offset) * peak;
+            ComputePhase::new("edge", flops, TrafficProfile::stream(bytes))
+        };
+        let late = phase(5e-16).flops / peak;
+        assert!(late > drain && late - drain <= EPS_TIME, "{late} vs {drain}");
+        let programs: Vec<Program> = [phase(5e-16), phase(-2e-6)]
+            .into_iter()
+            .map(|phase| {
+                let mut body = Program::new();
+                body.compute(phase);
+                let mut p = Program::new();
+                p.repeat(body, 3, 0);
+                p
+            })
+            .collect();
+        assert_calendar_run(
+            &engine,
+            &placements,
+            &programs,
+            &crate::FaultPlan::new(),
+            (4590575395174088703, 6),
+        );
+    }
+
+    #[test]
+    fn calendar_waits_survive_stall_and_resume() {
+        // Rank 0 alternates delays with eager sends whose sender stays
+        // busy; rank 1 receives and delays. Both are frozen mid-wait,
+        // each wait expires while its rank is stalled, and the resume
+        // dispatches the rank at the resume time.
+        let m = Machine::new(systems::dmz());
+        let engine = Engine::new(&m);
+        let cost = MessageCost { setup: 2e-6, cap: 1e9, sender_busy: 3e-5, rendezvous: false };
+        let mut body0 = Program::new();
+        body0.delay(1e-4).send(RankId::new(1), 4e4, 0, cost).delay(2e-5);
+        let mut p0 = Program::new();
+        p0.repeat(body0, 30, 1);
+        let mut body1 = Program::new();
+        body1.recv(RankId::new(0), 0).delay(5e-5);
+        let mut p1 = Program::new();
+        p1.repeat(body1, 30, 1);
+        let placements = [local_placement(&m, 0), local_placement(&m, 2)];
+        let plan = crate::FaultPlan::new()
+            .rank_stall(1.05e-3, RankId::new(0))
+            .rank_resume(1.6e-3, RankId::new(0))
+            .rank_stall(2.13e-3, RankId::new(1))
+            .rank_resume(2.9e-3, RankId::new(1))
+            .rank_stall(3.2e-3, RankId::new(0))
+            .rank_resume(3.2e-3 + 1e-6, RankId::new(0));
+        assert_calendar_run(&engine, &placements, &[p0, p1], &plan, (4572521851376645616, 170));
+    }
+
+    #[test]
+    fn calendar_is_rebuilt_after_a_rollback() {
+        // Rank 0 runs long phases with both a CPU part and flows, rank 1
+        // long delays, rank 2 eager sends to rank 0's socket. A kill rolls
+        // them back to a checkpoint taken while they were Computing and
+        // Waiting, with every deadline shifted into the replay timeline.
+        let m = Machine::new(systems::dmz());
+        let policy = CheckpointPolicy::new(2e-3, 1e6).with_restart_delay(5e-4);
+        let engine = Engine::new(&m).with_recovery(policy);
+        let mut body0 = Program::new();
+        body0
+            .compute(ComputePhase::new("work", 8e5, TrafficProfile::stream(6e5)))
+            .recv(RankId::new(2), 0);
+        let mut p0 = Program::new();
+        p0.repeat(body0, 40, 1);
+        let mut body1 = Program::new();
+        body1.delay(3.3e-4).compute(ComputePhase::new("cpu", 2e5, TrafficProfile::none()));
+        let mut p1 = Program::new();
+        p1.repeat(body1, 40, 0);
+        let cost = MessageCost { setup: 1e-6, cap: 1e9, sender_busy: 4e-5, rendezvous: false };
+        let mut body2 = Program::new();
+        body2.send(RankId::new(0), 1e4, 0, cost).delay(1.7e-4);
+        let mut p2 = Program::new();
+        p2.repeat(body2, 40, 1);
+        let placements = [local_placement(&m, 0), local_placement(&m, 1), local_placement(&m, 2)];
+        let plan = crate::FaultPlan::new().rank_kill(5.3e-3, RankId::new(1));
+        let observed = assert_calendar_run(
+            &engine,
+            &placements,
+            &[p0, p1, p2],
+            &plan,
+            (4580876137707621852, 373),
+        );
+        let report = observed.result.unwrap();
+        assert_eq!(report.metrics.recoveries, 1);
+        let trace = observed.trace.unwrap();
+        let stamp = &trace.recoveries[0];
+        assert!(stamp.restored_to > 0.0, "rolled back to a real checkpoint");
+        // Just before the kill, rank 0 was Computing and rank 1 Waiting.
+        let before = trace.intervals.iter().find(|iv| iv.t1 == stamp.killed_at).unwrap();
+        assert_eq!(before.rank_state[0], RankState::Computing, "{:?}", before.rank_state);
+        assert_eq!(before.rank_state[1], RankState::Waiting, "{:?}", before.rank_state);
+    }
+
+    /// One step of a random lockstep program: what every rank does.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Compute { rank: usize, flops: bool, bytes: f64 },
+        Delay { rank: usize, seconds: f64 },
+        Message { from: usize, to: usize, bytes: f64, rendezvous: bool, busy: bool },
+        Barrier,
+    }
+
+    fn step(kind: u8, a: usize, b: usize, x: f64, nranks: usize) -> Step {
+        let (a, b) = (a % nranks, b % nranks);
+        match kind {
+            0 | 1 => Step::Compute { rank: a, flops: kind == 1, bytes: x * 1e6 },
+            2 => Step::Delay { rank: a, seconds: x * 1e-4 },
+            3..=5 if a != b => Step::Message {
+                from: a,
+                to: b,
+                bytes: x * 1e5,
+                rendezvous: kind == 4,
+                busy: kind == 5,
+            },
+            _ => Step::Barrier,
+        }
+    }
+
+    /// Appends rank `rank`'s part of `steps` to `p`; step `i` uses tag `i`.
+    fn append_steps(p: &mut Program, rank: usize, steps: &[Step]) {
+        for (tag, s) in steps.iter().enumerate() {
+            match *s {
+                Step::Compute { rank: r, flops, bytes } if r == rank => {
+                    let flops = if flops { bytes * 4.0 } else { 0.0 };
+                    p.compute(ComputePhase::new("work", flops, TrafficProfile::stream(bytes)));
+                }
+                Step::Delay { rank: r, seconds } if r == rank => {
+                    p.delay(seconds);
+                }
+                Step::Message { from, to, bytes, rendezvous, busy } => {
+                    let cost = MessageCost {
+                        setup: 1e-6,
+                        cap: 2e9,
+                        sender_busy: if busy { 2e-6 } else { 0.0 },
+                        rendezvous,
+                    };
+                    if from == rank {
+                        p.send(RankId::new(to), bytes, tag as u64, cost);
+                    } else if to == rank {
+                        p.recv(RankId::new(from), tag as u64);
+                    }
+                }
+                Step::Barrier => {
+                    p.barrier();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random looped programs run exactly as their unrolled form, with
+        /// the calendar checked against the full scan at every event.
+        #[test]
+        fn calendar_runs_random_loops_like_their_unrolled_form(
+            raw in proptest::collection::vec((0u8..7, 0usize..4, 0usize..4, 0.01f64..1.0), 1..10),
+            nranks in 2usize..5,
+            split in 0usize..10,
+            inner in 1u64..4,
+            outer in 1u64..5,
+        ) {
+            let m = Machine::new(systems::dmz());
+            let engine = Engine::new(&m);
+            let steps: Vec<Step> =
+                raw.iter().map(|&(k, a, b, x)| step(k, a, b, x, nranks)).collect();
+            let split = split.min(steps.len());
+            let programs: Vec<Program> = (0..nranks)
+                .map(|rank| {
+                    let mut inner_body = Program::new();
+                    append_steps(&mut inner_body, rank, &steps[split..]);
+                    let mut outer_body = Program::new();
+                    append_steps(&mut outer_body, rank, &steps[..split]);
+                    outer_body.repeat(inner_body, inner, 1_000);
+                    let mut p = Program::new();
+                    p.repeat(outer_body, outer, 100_000);
+                    p
+                })
+                .collect();
+            let placements: Vec<RankPlacement> =
+                (0..nranks).map(|core| local_placement(&m, core)).collect();
+            let flat: Vec<Program> = programs.iter().map(Program::unrolled).collect();
+            let plan = crate::FaultPlan::new();
+            let looped = engine.observe(&placements, &programs, &plan, TraceConfig::on());
+            let unrolled = engine.observe(&placements, &flat, &plan, TraceConfig::off());
+            let plain = looped.result.unwrap();
+            proptest::prop_assert_eq!(&plain, &unrolled.result.unwrap());
+            proptest::prop_assert!(plain.makespan.is_finite());
+        }
     }
 }
